@@ -13,9 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -53,7 +51,6 @@ class RunConfig:
     out: str = "json"
     output: Optional[str] = None
     candidate: Optional[tuple[float, ...]] = None
-    threads: int = 1
 
     def __post_init__(self):
         cap = MAX_INVERT_ORDER if self.subcommand == "invert" else MAX_ORDER
@@ -144,11 +141,7 @@ def _run_solve(cfg: RunConfig) -> int:
     order = int(cfg.order)
     a, b, steps = cfg.grid
     xs = np.linspace(a, b, steps)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(lambda x: _solve_row(pair, order, x), xs))
-    else:
-        rows = [_solve_row(pair, order, x) for x in xs]
+    rows = [_solve_row(pair, order, x) for x in xs]
     header = (["x", "u"] + [f"u_{k}" for k in range(1, order + 1)]
               + ["y", "v"] + [f"v_{k}" for k in range(1, order + 1)])
     if cfg.out == "csv":
@@ -245,7 +238,7 @@ def run(cfg: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
     try:
         return _RUNNERS[cfg.subcommand](cfg)
-    except (CmdualError, FloatingPointError) as exc:
+    except (CmdualError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (KeyError, ValueError, TypeError) as exc:
@@ -324,13 +317,11 @@ def _config_from_args(args) -> RunConfig:
     for key in ("utility", "model", "market"):
         if getattr(args, key, None):
             inputs[key] = _load_json(getattr(args, key))
-    threads = max(1, int(os.environ.get("CMDUAL_THREADS", "1")))
     kw = dict(
         subcommand=args.subcommand,
         inputs=inputs,
         out=args.out,
         output=args.output,
-        threads=threads,
     )
     if hasattr(args, "order"):
         kw["order"] = _parse_order(args.order)

@@ -31,7 +31,6 @@ from .measures import BernsteinMeasure, exp_difference_moment, laplace_moment
 __all__ = [
     "CMFunction",
     "DnFunction",
-    "derivative",
     "check_cm_order",
     "nfold_value",
     "limits_at_infinity",
@@ -267,11 +266,6 @@ class DnFunction:
                                  epsabs=self.quad_tol, epsrel=self.quad_tol,
                                  limit=200)
         return w0 - tail
-
-
-def derivative(f, k: int, x: float) -> float:
-    """k-th derivative of a CMFunction or DnFunction at x > 0."""
-    return f.derivative(k, x)
 
 
 def nfold_value(W: DnFunction, y: float) -> float:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import integrate, stats
-from scipy.special import factorial
+from scipy import integrate
+from scipy.special import factorial, log_ndtr, ndtr, ndtri, roots_hermite
 
 from .cmcalc import DnFunction
 from .errors import QuadratureFailure
@@ -35,6 +36,24 @@ __all__ = [
 
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
+MIN_NODES, MAX_NODES = 64, 4096
+
+
+@lru_cache(maxsize=None)
+def _hermite_rule(n: int):
+    """n-point Gauss-Hermite nodes and weights, weights divided by sqrt(pi)."""
+    t, w = roots_hermite(n)
+    w = w / math.sqrt(math.pi)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+class QuadratureRule(NamedTuple):
+    """Outcomes, their weights, and the probe expectation they settled on."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    value: np.ndarray
 
 
 class Distribution:
@@ -174,56 +193,73 @@ class Lognormal(Distribution):
 
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
-        out = np.where(y > 0,
-                       stats.norm.cdf((np.log(np.where(y > 0, y, 1.0)) - self.m)
-                                      / self.s),
-                       0.0)
+        out = np.where(y > 0, ndtr(self._score(y)), 0.0)
         return float(out) if out.ndim == 0 else out
 
+    def _score(self, y):
+        """(ln y - m) / s, with y <= 0 mapped to y = 1."""
+        return (np.log(np.where(y > 0, y, 1.0)) - self.m) / self.s
+
     def iterated(self, n, ys):
+        """Closed form of E[(y - xi)_+^(n-1)] / (n-1)!: with d = (ln y - m)/s,
+
+            F_n(y) = sum_k C(n-1,k) (-1)**k y**(n-1-k) e^(km + k^2 s^2/2)
+                     Phi(d - ks) / (n-1)!,
+
+        each term assembled in log space so wide laws cannot overflow.
+        """
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if n == 1:
             return np.asarray(self.cdf(ys))
-        fac = factorial(n - 1, exact=True)
-        out = np.empty_like(ys)
-        for i, y in enumerate(ys):
-            if y <= 0:
-                out[i] = 0.0
-                continue
-            val, _ = integrate.quad(
-                lambda t: (y - t) ** (n - 1) * self.pdf(t), 0.0, y,
-                epsabs=1e-12, epsrel=1e-12, limit=200)
-            out[i] = val / fac
-        return out
+        k = np.arange(n)
+        signs = np.array([(-1.0) ** j * math.comb(n - 1, j) for j in k])
+        logy = np.log(np.where(ys > 0, ys, 1.0))[:, None]
+        logs = ((n - 1 - k) * logy + k * self.m + k**2 * self.s2 / 2.0
+                + log_ndtr(self._score(ys)[:, None] - k * self.s))
+        out = np.exp(logs) @ signs / factorial(n - 1, exact=True)
+        return np.where(ys > 0, out, 0.0)
 
-    def _gauss_hermite(self, fn, start=64, tol=1e-10):
+    def rule(self, probe) -> QuadratureRule:
+        """Gauss-Hermite rule for E[probe(xi)], doubled from MIN_NODES nodes.
+
+        ``probe`` maps the outcome array to per-outcome values (one row per
+        outcome, any trailing shape).  The node count doubles until every
+        component of the expectation moves by at most 1e-10 * (1 + |value|)
+        or some component is non-finite; the caller decides what a
+        non-finite expectation means.  Raises QuadratureFailure if
+        MAX_NODES nodes do not settle it.
+        """
         prev = None
-        nodes = start
-        while nodes <= 1024:
-            t, w = np.polynomial.hermite.hermgauss(nodes)
+        nodes = MIN_NODES
+        while True:
+            t, w = _hermite_rule(nodes)
             xi = np.exp(self.m + self.s * math.sqrt(2.0) * t)
-            val = float(np.dot(w, fn(xi))) / math.sqrt(math.pi)
-            if prev is not None and abs(val - prev) <= tol * (1.0 + abs(val)):
-                return val
+            val = w @ probe(xi)
+            settled = prev is not None and np.all(
+                np.abs(val - prev) <= 1e-10 * (1.0 + np.abs(val)))
+            if settled or not np.all(np.isfinite(val)):
+                return QuadratureRule(xi, w, val)
+            if nodes >= MAX_NODES:
+                raise QuadratureFailure(
+                    f"Gauss-Hermite expectation unsettled at {nodes} nodes")
             prev = val
             nodes *= 2
-        return prev
 
     def laplace(self, z):
         z = np.asarray(z, dtype=float)
-        if z.ndim == 0:
-            return self._gauss_hermite(lambda xi: np.exp(-float(z) * xi))
-        return np.array([self.laplace(zi) for zi in z])
+        val = self.rule(lambda xi: np.exp(-np.multiply.outer(xi, z))).value
+        return float(val) if z.ndim == 0 else val
 
     def mean(self):
         return math.exp(self.m + self.s2 / 2.0)
 
     def expectation(self, fn):
-        return self._gauss_hermite(lambda xi: np.array([fn(x) for x in xi]))
+        return float(self.rule(
+            lambda xi: np.array([fn(x) for x in xi])).value)
 
     def quantile_knots(self, count=33):
         us = np.linspace(1e-6, 1.0 - 1e-6, count)
-        return np.exp(self.m + self.s * stats.norm.ppf(us))
+        return np.exp(self.m + self.s * ndtri(us))
 
     def to_dict(self):
         return {"kind": "lognormal", "m": self.m, "s2": self.s2}
@@ -312,30 +348,47 @@ def _discrete_pair_violation(F: Discrete, G: Discrete, n: int):
     return None
 
 
-def _grid_violation(F: Distribution, G: Distribution, n: int):
-    base = np.unique(np.concatenate(
-        [F.quantile_knots(65), G.quantile_knots(65), [0.0]]))
-    points = 129
+def _refined_witness(grids, values, slack):
+    """Leftmost grid point where F's values exceed G's by more than slack.
+
+    ``values(grid)`` returns the pair (f, g) on each successively finer grid
+    and ``slack(f, g)`` the tie tolerance.  Refinement stops once the
+    verdict has held across two refinements, or when the grids run out.
+    A non-finite value fails the comparison, so it can never pass as
+    dominance; if it is the leftmost failure, QuadratureFailure is raised
+    instead of a witness.
+    """
     prev_ok, stable = None, 0
-    witness = None
-    while True:
-        lo = max(np.min(base[base > 0], initial=1e-6) / 2.0, 1e-9)
-        hi = float(np.max(base)) * 1.5 + 1.0
-        grid = np.unique(np.concatenate([base, np.geomspace(lo, hi, points)]))
-        fn, gn = F.iterated(n, grid), G.iterated(n, grid)
-        bad = fn > gn + ABS_TOL + REL_TOL * np.maximum(np.abs(fn), np.abs(gn))
-        witness = None if not bad.any() else float(grid[np.argmax(bad)])
+    for grid in grids:
+        f, g = values(grid)
+        bad = ~(f <= g + slack(f, g))
+        witness = None
+        if bad.any():
+            i = np.argmax(bad)
+            if not (np.isfinite(f[i]) and np.isfinite(g[i])):
+                raise QuadratureFailure(f"non-finite value at {grid[i]:g}")
+            witness = float(grid[i])
         ok = witness is None
         if ok == prev_ok:
             stable += 1
             if stable >= 2:
-                return witness
+                break
         else:
             stable = 0
         prev_ok = ok
-        points *= 2
-        if points > 4097:
-            return witness
+    return witness
+
+
+def _grid_violation(F: Distribution, G: Distribution, n: int):
+    base = np.unique(np.concatenate(
+        [F.quantile_knots(65), G.quantile_knots(65), [0.0]]))
+    lo = max(np.min(base[base > 0], initial=1e-6) / 2.0, 1e-9)
+    hi = float(np.max(base)) * 1.5 + 1.0
+    grids = (np.unique(np.concatenate([base, np.geomspace(lo, hi, points)]))
+             for points in (129 << i for i in range(5)))
+    return _refined_witness(
+        grids, lambda grid: (F.iterated(n, grid), G.iterated(n, grid)),
+        lambda f, g: ABS_TOL + REL_TOL * np.maximum(np.abs(f), np.abs(g)))
 
 
 def dominates_n(F: Distribution, G: Distribution, n: int) -> DominanceVerdict:
@@ -368,21 +421,11 @@ def dominates_inf(F: Distribution, G: Distribution,
     the grid is doubled until the verdict is stable across two refinements.
     """
     grid = default_zgrid() if zgrid is None else np.asarray(zgrid, dtype=float)
-    prev_ok, stable = None, 0
-    witness = None
-    for _ in range(6):
-        lf, lg = np.asarray(F.laplace(grid)), np.asarray(G.laplace(grid))
-        bad = lf > lg + 1e-10 * np.maximum(lf, lg) + 1e-300
-        witness = None if not bad.any() else float(grid[np.argmax(bad)])
-        ok = witness is None
-        if ok == prev_ok:
-            stable += 1
-            if stable >= 2:
-                break
-        else:
-            stable = 0
-        prev_ok = ok
-        grid = np.geomspace(grid[0], grid[-1], 2 * grid.size)
+    grids = (grid if i == 0 else np.geomspace(grid[0], grid[-1], grid.size << i)
+             for i in range(6))
+    witness = _refined_witness(
+        grids, lambda zs: (np.asarray(F.laplace(zs)), np.asarray(G.laplace(zs))),
+        lambda f, g: 1e-10 * np.maximum(f, g) + 1e-300)
     return DominanceVerdict(witness is None, witness, math.inf)
 
 

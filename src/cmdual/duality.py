@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from scipy.special import factorial
 
@@ -37,10 +36,6 @@ __all__ = [
     "MeasureUtility",
     "FiniteOrderUtility",
     "footnote_utility",
-    "inverse_marginal",
-    "marginal",
-    "conjugate_value",
-    "risk_aversion",
     "invert_decreasing",
 ]
 
@@ -342,29 +337,3 @@ def footnote_utility(k: int = 1) -> MeasureUtility:
     pieces.append(DensityPiece((-1.0) ** k, 0.0, 1.0))
     return MeasureUtility(BernsteinMeasure(pieces=tuple(pieces)))
 
-
-# -- module-level operation names ------------------------------------------------
-
-
-def inverse_marginal(u: UtilitySpec, y: float) -> float:
-    """(U')^{-1}(y)."""
-    return u.inverse_marginal(y)
-
-
-def marginal(u: UtilitySpec, x: float) -> float:
-    """U'(x), by Newton inversion of the inverse marginal when needed."""
-    return u.marginal(x)
-
-
-def conjugate_value(u: UtilitySpec, y: float,
-                    anchor: Optional[tuple[float, float]] = None) -> float:
-    """V(y); an explicit anchor overrides a measure-backed spec's default."""
-    if anchor is not None and isinstance(u, MeasureUtility):
-        y0, v0 = anchor
-        return v0 + exp_difference_moment(u.measure, y, y0)
-    return u.conjugate(y)
-
-
-def risk_aversion(u: UtilitySpec, x: float) -> float:
-    """A(x) = -U''(x) x / U'(x)."""
-    return u.rra(x)

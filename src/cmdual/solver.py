@@ -217,12 +217,11 @@ class ValueFunctionPair:
     """Dual/primal value functions bound to a utility and a market model.
 
     All operations are pure; the only mutable state is a memo of Newton
-    solutions for the primal marginal, keyed by exact argument, so
-    concurrent reads return results identical to a sequential run.
+    solutions for the primal marginal, keyed by exact argument.
     """
 
     def __init__(self, utility: UtilitySpec, model: MarketModel,
-                 quad_nodes: int = 64, faa_order_cap: int = 8):
+                 faa_order_cap: int = 8):
         self.utility = utility
         self.model = model
         self.faa_order_cap = faa_order_cap
@@ -232,26 +231,12 @@ class ValueFunctionPair:
             self._outcomes = np.asarray(law.xs)
             self._weights = np.asarray(law.ps)
         else:
-            # double the node count until the dual probe stabilizes; a
+            # the nodes on which the dual probe E[V(Y)] settles; a
             # non-finite probe means the expectation diverges and more nodes
             # cannot help
-            prev = None
-            nodes = quad_nodes
-            while True:
-                t, w = np.polynomial.hermite.hermgauss(nodes)
-                self._outcomes = np.exp(law.m + law.s * math.sqrt(2.0) * t)
-                self._weights = w / math.sqrt(math.pi)
-                probe = self._expect(
-                    [self.utility.conjugate(y) for y in self._outcomes])
-                if not math.isfinite(probe):
-                    break
-                if prev is not None and abs(probe - prev) <= 1e-10 * (
-                        1.0 + abs(probe)):
-                    break
-                if nodes >= 1024:
-                    break
-                prev = probe
-                nodes *= 2
+            rule = law.rule(
+                lambda ys: np.array([utility.conjugate(y) for y in ys]))
+            self._outcomes, self._weights = rule.nodes, rule.weights
 
     # -- dual side -----------------------------------------------------------
 

@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmdual
 from cmdual.cli import main
+from cmdual.duality import footnote_utility
 
 
 def write(tmp_path, name, payload):
@@ -78,15 +84,6 @@ def test_solve_is_deterministic(files, capsys):
     assert first == second
 
 
-def test_solve_threads_env_matches_sequential(files, capsys, monkeypatch):
-    args = ["solve", "--utility", files["log"], "--model", files["delta1"],
-            "--order", "3", "--grid", "0.5:2:6", "--out", "csv"]
-    _, sequential = run_cli(args, capsys)
-    monkeypatch.setenv("CMDUAL_THREADS", "4")
-    _, threaded = run_cli(args, capsys)
-    assert sequential == threaded
-
-
 def test_derivatives_subcommand(files, capsys):
     code, out = run_cli([
         "derivatives", "--utility", files["log"], "--model", files["delta1"],
@@ -156,3 +153,21 @@ def test_output_file(files, tmp_path, capsys):
                  files["delta1"], "--output", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["verdict"] == "dominates"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, cmdual.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cmdual.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
+
+
+def test_wide_lognormal_solve_never_crashes(tmp_path, capsys):
+    # at kappa 36 the far nodes overflow the footnote conjugate's high
+    # derivatives; that must surface as an exit code, not a traceback
+    utility = write(tmp_path, "foot.json", footnote_utility(1).to_dict())
+    model = write(tmp_path, "wide.json", {"kappa": 36.0})
+    code = main(["solve", "--utility", utility, "--model", model,
+                 "--order", "4", "--grid", "0.5:2:2"])
+    assert code in (0, 3)

@@ -8,6 +8,8 @@ from scipy import integrate
 
 from cmdual.cmcalc import DnFunction
 from cmdual.dominance import (
+    ABS_TOL,
+    REL_TOL,
     Discrete,
     Distribution,
     Lognormal,
@@ -17,6 +19,7 @@ from cmdual.dominance import (
     iterated_cdf,
 )
 from cmdual.dominance import test_function_audit as function_audit
+from cmdual.errors import QuadratureFailure
 
 DELTA1 = Discrete.point(1.0)
 DELTA2 = Discrete.point(2.0)
@@ -226,3 +229,58 @@ def test_discrete_polynomial_path_matches_dense_grid(n):
         brute_dominates = margin < 0
         assert bool(dominates_n(f, g, n)) == brute_dominates, (f, g, n)
         checked += 1
+
+
+def test_wide_lognormal_laplace_is_finite():
+    # the Gauss-Hermite weights must stay finite at the node counts a
+    # log-variance of 16 needs
+    d = Lognormal(0.0, 16.0)
+    zs = [0.1, 1.0, 10.0]
+    got = d.laplace(zs)
+    assert np.all(np.isfinite(got))
+    assert np.all((got > 0.0) & (got <= 1.0))
+    for z, val in zip(zs, got):
+        assert val == pytest.approx(d.laplace(z), rel=1e-9)
+
+
+def test_wide_lognormal_is_not_mutually_dominant():
+    wide, point = Lognormal(0.0, 16.0), Discrete.point(1e-3)
+    assert not (dominates_inf(wide, point) and dominates_inf(point, wide))
+
+
+class NanLaw(Distribution):
+    """A law whose Laplace transform failed to evaluate."""
+
+    def laplace(self, z):
+        return np.full(np.shape(z), np.nan)
+
+
+def test_non_finite_laplace_is_a_failure_not_a_verdict():
+    for F, G in ((NanLaw(), DELTA1), (DELTA1, NanLaw())):
+        with pytest.raises(QuadratureFailure):
+            dominates_inf(F, G)
+
+
+def lognormal_iterated_oracle(d, n, y):
+    """F_n(y) = integral_0^y (y - t)**(n-1) pdf(t) dt / (n-1)!.
+
+    Integrated over u = ln t within 40 standard deviations of the log-mean,
+    where all but 1e-300 of the mass lies, so narrow laws are not missed.
+    """
+    lo, hi = d.m - 40.0 * d.s, min(math.log(y), d.m + 40.0 * d.s)
+    if hi <= lo:
+        return 0.0
+    val, _ = integrate.quad(
+        lambda u: (y - math.exp(u)) ** (n - 1) * d.pdf(math.exp(u))
+        * math.exp(u), lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
+    return val / math.factorial(n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lognormal_iterated_closed_form(n):
+    for d in (Lognormal(0.0, 0.25), Lognormal(-0.5, 1.0), Lognormal(0.0, 0.01)):
+        for y in [*d.quantile_knots(9), 1e2, 1e4]:
+            got = float(d.iterated(n, [y])[0])
+            want = lognormal_iterated_oracle(d, n, y)
+            assert abs(got - want) <= ABS_TOL + REL_TOL * max(abs(got),
+                                                              abs(want))

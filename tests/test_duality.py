@@ -13,11 +13,7 @@ from cmdual.duality import (
     MeasureUtility,
     PowerUtility,
     UtilitySpec,
-    conjugate_value,
     footnote_utility,
-    inverse_marginal,
-    marginal,
-    risk_aversion,
 )
 from cmdual.errors import InvalidMeasure, OrderExceeded
 from cmdual.measures import BernsteinMeasure
@@ -29,38 +25,38 @@ FOOTNOTE = footnote_utility(1)
 
 
 def test_inverse_marginal_examples():
-    assert inverse_marginal(LOG, 4.0) == pytest.approx(0.25)
-    assert inverse_marginal(POWER_M1, 4.0) == pytest.approx(0.5)
-    assert inverse_marginal(FOOTNOTE, 1.0) == pytest.approx(0.5, rel=1e-12)
+    assert LOG.inverse_marginal(4.0) == pytest.approx(0.25)
+    assert POWER_M1.inverse_marginal(4.0) == pytest.approx(0.5)
+    assert FOOTNOTE.inverse_marginal(1.0) == pytest.approx(0.5, rel=1e-12)
     # quadrature oracle for the footnote measure
     brute, _ = integrate.quad(lambda t: math.exp(-t) * (1 - math.exp(-t)),
                               0, np.inf)
-    assert inverse_marginal(FOOTNOTE, 1.0) == pytest.approx(brute, rel=1e-9)
+    assert FOOTNOTE.inverse_marginal(1.0) == pytest.approx(brute, rel=1e-9)
 
 
 def test_marginal_examples():
-    assert marginal(LOG, 0.25) == pytest.approx(4.0)
-    assert marginal(POWER_M1, 0.5) == pytest.approx(4.0)
+    assert LOG.marginal(0.25) == pytest.approx(4.0)
+    assert POWER_M1.marginal(0.5) == pytest.approx(4.0)
     # root of y (y + 1) = 2
-    assert marginal(FOOTNOTE, 0.5) == pytest.approx(1.0, rel=1e-11)
+    assert FOOTNOTE.marginal(0.5) == pytest.approx(1.0, rel=1e-11)
 
 
 def test_conjugate_examples():
-    assert conjugate_value(LOG, 1.0) == pytest.approx(-1.0)
-    assert conjugate_value(POWER_M1, 4.0) == pytest.approx(-4.0)
-    assert conjugate_value(LOG_MEASURE, math.e) == pytest.approx(-2.0, rel=1e-12)
-    # explicit anchor override
-    assert conjugate_value(LOG_MEASURE, math.e, anchor=(1.0, -1.0)) == \
-        pytest.approx(-2.0, rel=1e-12)
+    assert LOG.conjugate(1.0) == pytest.approx(-1.0)
+    assert POWER_M1.conjugate(4.0) == pytest.approx(-4.0)
+    assert LOG_MEASURE.conjugate(math.e) == pytest.approx(-2.0, rel=1e-12)
+    # the anchor travels with the spec
+    anchored = MeasureUtility(BernsteinMeasure.lebesgue(), anchor=(1.0, -1.0))
+    assert anchored.conjugate(math.e) == pytest.approx(-2.0, rel=1e-12)
 
 
 def test_risk_aversion_examples():
-    assert risk_aversion(PowerUtility(0.5), 3.0) == pytest.approx(0.5)
-    assert risk_aversion(LOG, 2.0) == pytest.approx(1.0)
+    assert PowerUtility(0.5).rra(3.0) == pytest.approx(0.5)
+    assert LOG.rra(2.0) == pytest.approx(1.0)
     # inverse marginal y**-1/(y+1): B(y) = 1 + y/(y+1); B(1) = 1.5 and the
     # matching wealth is x = 0.5, so A(0.5) = 2/3
     assert FOOTNOTE.rrt(1.0) == pytest.approx(1.5, rel=1e-12)
-    assert risk_aversion(FOOTNOTE, 0.5) == pytest.approx(2.0 / 3.0, rel=1e-9)
+    assert FOOTNOTE.rra(0.5) == pytest.approx(2.0 / 3.0, rel=1e-9)
 
 
 def test_dual_identity_a_times_b():

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from cmdual.dominance import Discrete
-from cmdual.duality import LogUtility, MeasureUtility, PowerUtility
+from cmdual.duality import (
+    LogUtility,
+    MeasureUtility,
+    PowerUtility,
+    footnote_utility,
+)
 from cmdual.errors import NoRoot, OrderExceeded, PolytopeEmpty
 from cmdual.measures import BernsteinMeasure, DensityPiece
 from cmdual.solver import (
@@ -296,6 +301,13 @@ def test_divergent_expectations_are_reported():
         pair.dual_value(1.0)
     with pytest.raises(DivergentMoment):
         pair.dual_derivative(1, 1.0)
+
+
+def test_footnote_marginal_under_wide_lognormal():
+    # E[1/(Y+1)] <= 1, so the first dual derivative is finite at kappa 36
+    pair = ValueFunctionPair(footnote_utility(1), MarketModel.lognormal(36.0))
+    y = pair.primal_marginal(1.0)
+    assert math.isfinite(y) and y > 0.0
 
 
 def test_widder_rejects_negative_interval():
