@@ -125,6 +125,8 @@ class CMFunction:
 
 
 _TAIL_PROBE = (1e3, 1e4, 1e5)
+# absolute and relative accuracy of the tail and anchor quadratures
+_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,6 @@ class DnFunction:
     measure: Optional[BernsteinMeasure] = None
     nth_derivative: Optional[Callable[[float], float]] = None
     exact: Optional[Callable[[int, float], float]] = None
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         if self.order != math.inf:
@@ -232,15 +233,14 @@ class DnFunction:
         if self.exact is not None:
             return self.exact(k, y)
         if self.order == math.inf:
-            return (-1.0) ** k * laplace_moment(self.measure, y, k - 1,
-                                                self.quad_tol)
+            return (-1.0) ** k * laplace_moment(self.measure, y, k - 1)
         n = int(self.order)
         if k == n:
             return self.nth_derivative(y)
         val, _ = integrate.quad(
             lambda t: self._tail_weight(k, y, t)
             * (-1.0) ** n * self.nth_derivative(t),
-            y, math.inf, epsabs=self.quad_tol, epsrel=self.quad_tol, limit=200)
+            y, math.inf, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
         return (-1.0) ** k * val
 
     def value(self, y: float) -> float:
@@ -250,7 +250,7 @@ class DnFunction:
         if y == y0:
             return w0
         if self.order == math.inf:
-            return w0 + exp_difference_moment(self.measure, y, y0, self.quad_tol)
+            return w0 + exp_difference_moment(self.measure, y, y0)
         return nfold_value(self, y)
 
     def __call__(self, y: float) -> float:
@@ -263,7 +263,7 @@ class DnFunction:
             return self.exact(0, 1e8)
         y0, w0 = self.anchor
         tail, _ = integrate.quad(lambda s: -self.derivative(1, s), y0, math.inf,
-                                 epsabs=self.quad_tol, epsrel=self.quad_tol,
+                                 epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
                                  limit=200)
         return w0 - tail
 
@@ -294,9 +294,9 @@ def nfold_value(W: DnFunction, y: float) -> float:
 
     lo, hi = min(y, y0), max(y, y0)
     head, _ = integrate.quad(kernel, lo, hi, points=[y, y0],
-                             epsabs=W.quad_tol, epsrel=W.quad_tol, limit=400)
+                             epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400)
     tail, _ = integrate.quad(kernel, hi, math.inf,
-                             epsabs=W.quad_tol, epsrel=W.quad_tol, limit=400)
+                             epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400)
     return w0 + head + tail
 
 

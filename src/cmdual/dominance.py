@@ -233,8 +233,10 @@ class Lognormal(Distribution):
         nodes = MIN_NODES
         while True:
             t, w = _hermite_rule(nodes)
-            xi = np.exp(self.m + self.s * math.sqrt(2.0) * t)
-            val = w @ probe(xi)
+            # a non-finite value is returned or raised below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                xi = np.exp(self.m + self.s * math.sqrt(2.0) * t)
+                val = w @ probe(xi)
             settled = prev is not None and np.all(
                 np.abs(val - prev) <= 1e-10 * (1.0 + np.abs(val)))
             if settled or not np.all(np.isfinite(val)):
@@ -309,9 +311,9 @@ def _poly_between(dist: Discrete, n: int, left: float):
 
 def _discrete_pair_violation(F: Discrete, G: Discrete, n: int):
     knots = np.unique(np.concatenate([F.xs, G.xs, [0.0]]))
-    diff = G.iterated(n, knots) - F.iterated(n, knots)
-    for y, dval in zip(knots, diff):
-        gv = float(G.iterated(n, [y])[0])
+    gvals = G.iterated(n, knots)
+    diff = gvals - F.iterated(n, knots)
+    for y, gv, dval in zip(knots, gvals, diff):
         if dval < -_tol(gv, gv - dval):
             return float(y)
     if n == 1:
@@ -321,15 +323,9 @@ def _discrete_pair_violation(F: Discrete, G: Discrete, n: int):
     intervals = list(zip(knots, knots[1:])) + [(knots[-1], math.inf)]
     for left, right in intervals:
         c = _poly_between(G, n, left) - _poly_between(F, n, left)
-        dpoly = np.polynomial.Polynomial(c).deriv()
-        crit = []
-        if n <= 4:
-            roots = dpoly.roots()
-            crit = [float(r.real) for r in roots
-                    if abs(r.imag) < 1e-12 and left < r.real < right]
-        else:
-            hi = right if right != math.inf else left + 10 * max(1.0, left)
-            crit = list(np.linspace(left, hi, 50)[1:-1])
+        roots = np.polynomial.Polynomial(c).deriv().roots()
+        crit = [float(r.real) for r in roots
+                if abs(r.imag) < 1e-12 and left < r.real < right]
         for y in crit:
             dval = float(np.polynomial.Polynomial(c)(y))
             gv = float(G.iterated(n, [y])[0])

@@ -105,11 +105,15 @@ class UtilitySpec:
     def marginal(self, x: float) -> float:
         if x <= 0:
             raise ValueError("x must be positive")
-        return invert_decreasing(
-            self.inverse_marginal,
-            lambda y: self.conjugate_derivative(2, y) * -1.0,
-            x,
-        )
+        try:
+            return invert_decreasing(
+                self.inverse_marginal,
+                lambda y: -self.conjugate_derivative(2, y),
+                x,
+            )
+        except NoRoot as exc:
+            raise RangeError(f"x={x} outside the range of the inverse "
+                             f"marginal") from exc
 
     def value(self, x: float) -> float:
         """U(x) recovered through conjugacy: U(x) = V(y) + x*y at y = U'(x)."""
@@ -297,19 +301,6 @@ class FiniteOrderUtility(UtilitySpec):
             raise OrderExceeded(
                 f"conjugate of order {self.max_order} has no derivative {k}")
         return self.V.derivative(k, y)
-
-    def marginal(self, x):
-        if x <= 0:
-            raise ValueError("x must be positive")
-        try:
-            return invert_decreasing(
-                self.inverse_marginal,
-                lambda y: -self.conjugate_derivative(2, y),
-                x,
-            )
-        except NoRoot as exc:
-            raise RangeError(f"x={x} outside the range of the inverse "
-                             f"marginal") from exc
 
     def to_dict(self):
         raise NotImplementedError(

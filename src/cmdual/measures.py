@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import exp1, gammainc, gammaincc, gammaln
 
 from .errors import InvalidMeasure, NonIntegrable
 
@@ -28,8 +28,8 @@ __all__ = [
     "exp_difference_moment",
 ]
 
-DEFAULT_TOL = 1e-10
-_MAX_BISECT_DEPTH = 40
+# accuracy of the quadrature for exponents p <= -1 on pieces away from 0
+_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -156,14 +156,15 @@ def _gamma_interval(q: float, x1: float, x2: float) -> float:
     """Regularized incomplete-gamma mass P(q, x2) - P(q, x1), q > 0."""
     if x2 <= x1:
         return 0.0
-    lower = gammainc(q, x2) - gammainc(q, x1)
-    upper = gammaincc(q, x1) - gammaincc(q, x2)
-    # the two are equal in exact arithmetic; keep the one computed from the
-    # larger operands to limit cancellation
-    return upper if gammaincc(q, x1) > 0.5 else lower
+    # the upper and lower forms are equal in exact arithmetic; take the one
+    # computed from the larger operands to limit cancellation
+    upper_x1 = gammaincc(q, x1)
+    if upper_x1 > 0.5:
+        return upper_x1 - gammaincc(q, x2)
+    return gammainc(q, x2) - gammainc(q, x1)
 
 
-def _power_exp_integral(p: float, s: float, lo: float, hi: float, tol: float) -> float:
+def _power_exp_integral(p: float, s: float, lo: float, hi: float) -> float:
     """Integral of z**p * exp(-s*z) over [lo, hi], s >= 0."""
     if s == 0.0:
         return _power_integral(p, lo, hi)
@@ -171,10 +172,14 @@ def _power_exp_integral(p: float, s: float, lo: float, hi: float, tol: float) ->
         raise NonIntegrable(f"z**{p} not integrable at 0")
     if p > -1.0:
         q = p + 1.0
-        frac = _gamma_interval(q, s * lo, s * hi)
-        return frac * math.exp(gammaln(q) - q * math.log(s))
-    # exotic exponent p <= -1 with lo > 0: adaptive quadrature
-    return _adaptive_power_exp(p, s, lo, hi, tol)
+        full = math.exp(gammaln(q) - q * math.log(s))
+        if lo == 0.0 and math.isinf(hi):
+            return full
+        return _gamma_interval(q, s * lo, s * hi) * full
+    # p <= -1 with lo > 0 has no incomplete-gamma form with q > 0
+    val, _ = integrate.quad(lambda z: z**p * math.exp(-s * z), lo, hi,
+                            epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
+    return val
 
 
 def _power_integral(p: float, lo: float, hi: float) -> float:
@@ -189,40 +194,12 @@ def _power_integral(p: float, lo: float, hi: float) -> float:
     return (hi_term - lo ** (p + 1.0)) / (p + 1.0)
 
 
-def _adaptive_power_exp(p: float, s: float, lo: float, hi: float, tol: float) -> float:
-    if math.isinf(hi):
-        # cut the tail where the analytic bound drops below tol
-        cut = max(2.0 * lo, (60.0 + max(p, 0.0) * 20.0) / s)
-        hi = max(cut, lo * 2.0)
-    return _gl_bisect(lambda z: z**p * math.exp(-s * z), lo, hi, tol)
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-
-
-def _gl_panel(f, a: float, b: float) -> float:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    z = mid + half * _GL_NODES
-    return half * float(np.dot(_GL_WEIGHTS, [f(zi) for zi in z]))
-
-
-def _gl_bisect(f, a: float, b: float, tol: float, depth: int = 0) -> float:
-    whole = _gl_panel(f, a, b)
-    m = 0.5 * (a + b)
-    split = _gl_panel(f, a, m) + _gl_panel(f, m, b)
-    if abs(split - whole) <= tol * (1.0 + abs(split)) or depth >= _MAX_BISECT_DEPTH:
-        return split
-    return (_gl_bisect(f, a, m, tol, depth + 1)
-            + _gl_bisect(f, m, b, tol, depth + 1))
-
-
-def laplace_moment(m: BernsteinMeasure, x: float, k: int = 0,
-                   tol: float = DEFAULT_TOL) -> float:
+def laplace_moment(m: BernsteinMeasure, x: float, k: int = 0) -> float:
     """Moment ``integral of z**k * exp(-x*z) dm(z)`` over [0, inf).
 
     Atoms are summed exactly; each density piece is reduced to incomplete
     gamma functions when the combined power ``a + k`` exceeds -1 and falls
-    back to adaptive Gauss-Legendre quadrature otherwise.
+    back to adaptive quadrature (scipy ``quad`` at 1e-10) otherwise.
 
     Parameters
     ----------
@@ -232,8 +209,6 @@ def laplace_moment(m: BernsteinMeasure, x: float, k: int = 0,
         integrable at x = 0.
     k : int
         Polynomial order of the kernel, >= 0.
-    tol : float
-        Absolute-or-relative target accuracy of the result.
 
     Raises
     ------
@@ -244,8 +219,6 @@ def laplace_moment(m: BernsteinMeasure, x: float, k: int = 0,
         raise ValueError("x must be >= 0")
     if k < 0 or k != int(k):
         raise ValueError("k must be a nonnegative integer")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     k = int(k)
     total = 0.0
     for z, w in m.atoms:
@@ -256,29 +229,22 @@ def laplace_moment(m: BernsteinMeasure, x: float, k: int = 0,
         if s == 0.0 and math.isinf(p.hi) and p.a + k >= -1.0:
             raise NonIntegrable("kernel does not decay and the piece has an "
                                 "infinite-mass tail at x = 0")
-        total += p.c * _power_exp_integral(p.a + k, s, p.lo, p.hi, tol)
+        total += p.c * _power_exp_integral(p.a + k, s, p.lo, p.hi)
     return total
 
 
-def _exp1(x: float) -> float:
-    from scipy.special import exp1
-
-    return 0.0 if math.isinf(x) else float(exp1(x))
-
-
-def _piece_exp_difference(p: DensityPiece, s1: float, s2: float,
-                          tol: float) -> float:
+def _piece_exp_difference(p: DensityPiece, s1: float, s2: float) -> float:
     """Integral of t**(a-1) * (exp(-s1*t) - exp(-s2*t)) over the piece."""
     a, lo, hi = p.a, p.lo, p.hi
     if a > 0.0:
-        return (_power_exp_integral(a - 1.0, s1, lo, hi, tol)
-                - _power_exp_integral(a - 1.0, s2, lo, hi, tol))
+        return (_power_exp_integral(a - 1.0, s1, lo, hi)
+                - _power_exp_integral(a - 1.0, s2, lo, hi))
     if a == 0.0:
         # 1/t weight: individually log-divergent at 0, the difference is not
         if lo == 0.0:
-            return (math.log(s2 / s1) - _exp1(s1 * hi) + _exp1(s2 * hi))
-        return (_exp1(s1 * lo) - _exp1(s1 * hi)
-                - _exp1(s2 * lo) + _exp1(s2 * hi))
+            return (math.log(s2 / s1) - exp1(s1 * hi) + exp1(s2 * hi))
+        return (exp1(s1 * lo) - exp1(s1 * hi)
+                - exp1(s2 * lo) + exp1(s2 * hi))
     if a > -1.0:
         # integrate by parts once; the boundary term vanishes at 0 and inf
         def boundary(t):
@@ -286,16 +252,15 @@ def _piece_exp_difference(p: DensityPiece, s1: float, s2: float,
                 return 0.0
             return t**a / a * (math.exp(-s1 * t) - math.exp(-s2 * t))
 
-        inner = (s1 * _power_exp_integral(a, s1, lo, hi, tol)
-                 - s2 * _power_exp_integral(a, s2, lo, hi, tol))
+        inner = (s1 * _power_exp_integral(a, s1, lo, hi)
+                 - s2 * _power_exp_integral(a, s2, lo, hi))
         return boundary(hi) - boundary(lo) + inner / a
     # a <= -1 forces lo > 0: both halves are separately integrable
-    return (_power_exp_integral(a - 1.0, s1, lo, hi, tol)
-            - _power_exp_integral(a - 1.0, s2, lo, hi, tol))
+    return (_power_exp_integral(a - 1.0, s1, lo, hi)
+            - _power_exp_integral(a - 1.0, s2, lo, hi))
 
 
-def exp_difference_moment(m: BernsteinMeasure, y: float, y0: float,
-                          tol: float = DEFAULT_TOL) -> float:
+def exp_difference_moment(m: BernsteinMeasure, y: float, y0: float) -> float:
     """Integral of ``(exp(-y*t) - exp(-y0*t)) / t dm(t)`` over (0, inf).
 
     This is the kernel that turns the measure representation of a derivative
@@ -310,7 +275,7 @@ def exp_difference_moment(m: BernsteinMeasure, y: float, y0: float,
     for z, w in m.atoms:
         total += w * (math.exp(-y * z) - math.exp(-y0 * z)) / z
     for p in m.pieces:
-        total += p.c * _piece_exp_difference(p, y + p.b, y0 + p.b, tol)
+        total += p.c * _piece_exp_difference(p, y + p.b, y0 + p.b)
     return total
 
 
@@ -335,7 +300,7 @@ def mass(m: BernsteinMeasure, lo: float = 0.0, hi: float = math.inf) -> float:
             if p.b == 0.0:
                 part = _power_integral(p.a, a, b)
             else:
-                part = _power_exp_integral(p.a, p.b, a, b, DEFAULT_TOL)
+                part = _power_exp_integral(p.a, p.b, a, b)
         except NonIntegrable:
             divergent.append((p.c, p.a, a))
             continue

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -171,3 +172,14 @@ def test_wide_lognormal_solve_never_crashes(tmp_path, capsys):
     code = main(["solve", "--utility", utility, "--model", model,
                  "--order", "4", "--grid", "0.5:2:2"])
     assert code in (0, 3)
+
+
+def test_wide_lognormal_dominance_fails_quietly(files, tmp_path, capsys):
+    # the overflowing Gauss-Hermite ladder is a QuadratureFailure (exit 3);
+    # numpy must not also print overflow warnings on the way there
+    wide = write(tmp_path, "wide_law.json",
+                 {"kind": "lognormal", "m": 0.0, "s2": 400.0})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["dominance", wide, files["delta1"]]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

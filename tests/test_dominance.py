@@ -209,7 +209,7 @@ def test_empirical_rejects_negative():
         Discrete((-1.0, 1.0), (0.5, 0.5))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 9))
 def test_discrete_polynomial_path_matches_dense_grid(n):
     # fuzz the exact piecewise-polynomial violation search against a brute
     # dense-grid comparison, skipping knife-edge cases near the tolerance

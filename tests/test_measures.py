@@ -58,11 +58,27 @@ def test_signed_difference_density():
         )
 
 
-def test_exotic_exponent_quadrature_path():
+@pytest.mark.parametrize("a,lo,hi", [
+    (-1.5, 1.0, math.inf),
+    (-1.0, 0.5, math.inf), (-2.0, 0.5, math.inf), (-3.25, 0.5, math.inf),
+    (-1.0, 0.5, 3.0), (-2.0, 0.5, 3.0), (-3.25, 0.5, 3.0),
+])
+def test_exotic_exponent_quadrature_path(a, lo, hi):
     # a <= -1 on an interval away from zero exercises the quadrature fallback
-    m = BernsteinMeasure(pieces=(DensityPiece(1.0, -1.5, 0.0, 1.0, math.inf),))
-    got = laplace_moment(m, 2.0, 0)
-    assert got == pytest.approx(quad_oracle(m, 2.0, 0), rel=1e-9)
+    m = BernsteinMeasure(pieces=(DensityPiece(1.0, a, 0.0, lo, hi),))
+    for x in (0.3, 2.0, 20.0):
+        assert laplace_moment(m, x, 0) == pytest.approx(
+            quad_oracle(m, x, 0), rel=1e-9)
+
+
+@pytest.mark.parametrize("c,a,b", [(1.0, 0.0, 0.0), (0.7, 1.0, 0.3),
+                                   (2.5, -0.5, 1.5), (3.0, 2.75, 0.0)])
+def test_full_range_piece_is_a_gamma_ratio(c, a, b):
+    m = BernsteinMeasure(pieces=(DensityPiece(c, a, b),))
+    for x, k in ((0.5, 0), (2.0, 1), (7.0, 3)):
+        q = a + k + 1.0
+        want = c * math.gamma(q) / (x + b) ** q
+        assert laplace_moment(m, x, k) == pytest.approx(want, rel=1e-14)
 
 
 def test_mass_examples():
@@ -112,6 +128,24 @@ def test_exp_difference_kernel():
     with pytest.raises(NonIntegrable):
         exp_difference_moment(BernsteinMeasure.from_atoms([(0.0, 1.0)]),
                               2.0, 1.0)
+
+
+@pytest.mark.parametrize("a,lo,hi", [
+    (0.0, 0.5, math.inf), (0.0, 0.5, 4.0),         # E1 differences
+    (-0.5, 0.0, 2.0), (-0.25, 0.5, 4.0),           # a in (-1, 0), finite
+    (-1.0, 0.5, math.inf), (-2.5, 1.0, 6.0),       # a <= -1, lo > 0
+])
+def test_exp_difference_single_piece(a, lo, hi):
+    from cmdual.measures import exp_difference_moment
+
+    m = BernsteinMeasure(pieces=(DensityPiece(1.5, a, 0.25, lo, hi),))
+    for y, y0 in ((2.0, 1.0), (0.3, 5.0)):
+        brute, _ = integrate.quad(
+            lambda t: 1.5 * t ** (a - 1.0) * math.exp(-0.25 * t)
+            * (math.exp(-y * t) - math.exp(-y0 * t)),
+            lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
+        assert exp_difference_moment(m, y, y0) == pytest.approx(brute,
+                                                                rel=1e-9)
 
 
 def test_json_round_trip():
