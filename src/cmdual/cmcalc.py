@@ -26,7 +26,8 @@ from .errors import (
     OrderExceeded,
     TailDivergent,
 )
-from .measures import BernsteinMeasure, exp_difference_moment, laplace_moment
+from .measures import (BernsteinMeasure, _any, exp_difference_moment,
+                       laplace_moment)
 
 __all__ = [
     "CMFunction",
@@ -142,6 +143,8 @@ class DnFunction:
 
     ``exact`` optionally short-circuits derivative evaluation with a closed
     form (used for test-function families where all orders are known).
+    ``exact``, ``derivative`` and ``value`` act elementwise on y (a float for
+    a scalar, an array for an array); finite-order quadrature runs per point.
     """
 
     order: float
@@ -183,17 +186,7 @@ class DnFunction:
         """W(y) = exp(-z*y), a member of every order class."""
         if z <= 0:
             raise ValueError("z must be positive")
-
-        def exact(k, y):
-            return (-z) ** k * math.exp(-z * y)
-
-        if order == math.inf:
-            m = BernsteinMeasure.from_atoms([(z, z)])
-            return cls.from_measure(m, anchor=(1.0, math.exp(-z)), exact=exact)
-        n = int(order)
-        return cls.from_nth_derivative(
-            n, lambda t: (-z) ** n * math.exp(-z * t),
-            anchor=(1.0, math.exp(-z)), exact=exact)
+        return cls.exponential_mixture([z], [1.0], order)
 
     @classmethod
     def exponential_mixture(cls, zs, cs, order: float = math.inf) -> "DnFunction":
@@ -204,7 +197,8 @@ class DnFunction:
             raise ValueError("rates and weights must be positive")
 
         def exact(k, y):
-            return float(np.sum(cs * (-zs) ** k * np.exp(-zs * y)))
+            terms = cs * (-zs) ** k * np.exp(-np.multiply.outer(y, zs))
+            return terms.sum(axis=-1)
 
         w0 = exact(0, 1.0)
         if order == math.inf:
@@ -220,8 +214,8 @@ class DnFunction:
         m = int(self.order) - 1 - k
         return (t - y) ** m / factorial(m, exact=True)
 
-    def derivative(self, k: int, y: float) -> float:
-        if y <= 0:
+    def derivative(self, k: int, y):
+        if _any(np.asarray(y) <= 0):
             raise ValueError("y must be positive")
         if k < 0:
             raise ValueError("k must be >= 0")
@@ -235,23 +229,27 @@ class DnFunction:
         if self.order == math.inf:
             return (-1.0) ** k * laplace_moment(self.measure, y, k - 1)
         n = int(self.order)
-        if k == n:
-            return self.nth_derivative(y)
-        val, _ = integrate.quad(
-            lambda t: self._tail_weight(k, y, t)
-            * (-1.0) ** n * self.nth_derivative(t),
-            y, math.inf, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-        return (-1.0) ** k * val
 
-    def value(self, y: float) -> float:
+        def one(s):
+            if k == n:
+                return self.nth_derivative(s)
+            val, _ = integrate.quad(
+                lambda t: self._tail_weight(k, s, t)
+                * (-1.0) ** n * self.nth_derivative(t),
+                s, math.inf, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
+            return (-1.0) ** k * val
+
+        return np.vectorize(one, otypes=[float])(y)[()]
+
+    def value(self, y):
         if self.exact is not None:
             return self.exact(0, y)
         y0, w0 = self.anchor
-        if y == y0:
-            return w0
         if self.order == math.inf:
+            # the difference kernel vanishes exactly at y = y0
             return w0 + exp_difference_moment(self.measure, y, y0)
-        return nfold_value(self, y)
+        return np.vectorize(lambda t: w0 if t == y0 else nfold_value(self, t),
+                            otypes=[float])(y)[()]
 
     def __call__(self, y: float) -> float:
         return self.value(y)

@@ -501,11 +501,8 @@ class Cex2Instance:
     delta_hat: float
 
     def expectation(self, fn) -> float:
-        return float(sum(p * fn(s) for p, s in zip(self.probs, self.payoffs)))
-
-    def wealth(self, x: float, delta: float) -> np.ndarray:
-        s = np.asarray(self.payoffs)
-        return x + delta * (s - 1.0)
+        """E[fn(S)] for an fn that maps the payoff array to per-state values."""
+        return float(np.dot(self.probs, fn(np.asarray(self.payoffs))))
 
     def mean_payoff(self) -> float:
         return float(np.dot(self.probs, self.payoffs))
@@ -521,14 +518,6 @@ class Cex2Instance:
         return FiniteMarket(self.probs, self.payoffs, 1.0)
 
 
-def _min_second_derivative(utility: UtilitySpec, lo: float, hi: float) -> float:
-    res = optimize.minimize_scalar(
-        lambda s: utility.second(s), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12})
-    end = min(utility.second(lo), utility.second(hi))
-    return min(float(res.fun), end)
-
-
 def cex2_build(utility: Optional[UtilitySpec] = None,
                n_states: int = 200) -> Cex2Instance:
     """Construct the market; requires non-constant relative risk aversion.
@@ -540,29 +529,27 @@ def cex2_build(utility: Optional[UtilitySpec] = None,
 
     p_0 cancels the first-order condition E[U'(S)(1-S)] = 0 identically
     and p_1 absorbs the remainder, so no renormalization is ever needed.
+
+    That minimum is U''(2/(3n)).  With I = (U')^{-1} completely monotone,
+    I' < 0 < I'' and U'' = 1/I'(U') < 0, so differentiating U'' = 1/I'(U')
+    gives U''' = -I''(U') U'' / I'(U')**2 > 0: U'' is increasing.
     """
     utility = footnote_utility(1) if utility is None else utility
     if n_states < 3:
         raise ValueError("need at least 3 states")
     # non-constancy probe on the reciprocal-integer grid
-    base = utility.rra(0.5)
-    for m in range(3, 40):
-        if abs(utility.rra(1.0 / m) - base) > 1e-6:
-            break
-    else:
+    rra = utility.rra(1.0 / np.arange(2, 40))
+    if not np.any(np.abs(rra[1:] - rra[0]) > 1e-6):
         raise ConstantRRA("relative risk aversion is constant on 1/m grid; "
                           "the construction needs it non-constant")
     u2 = utility.marginal(2.0)
     numer = min(1.0, u2)
     ns = np.arange(2, n_states + 1)
+    marginal = utility.marginal(1.0 / ns)
+    floor = utility.second(2.0 / (3.0 * ns))
     p = np.zeros(n_states + 1)
-    for n in ns:
-        lo, hi = 2.0 / (3.0 * n), 2.0 / 3.0 + 2.0 / (3.0 * n)
-        floor = _min_second_derivative(utility, lo, hi)
-        p[n] = (2.0 ** -(n + 1.0) * numer
-                / max(1.0, utility.marginal(1.0 / n) - floor))
-    p[0] = sum(p[n] * utility.marginal(1.0 / n) * (1.0 - 1.0 / n)
-               for n in ns) / u2
+    p[2:] = 2.0 ** -(ns + 1.0) * numer / np.maximum(1.0, marginal - floor)
+    p[0] = float(np.sum(p[2:] * marginal * (1.0 - 1.0 / ns))) / u2
     p[1] = 1.0 - p[0] - float(np.sum(p[2:]))
     if p[0] > 0.25 or p[1] < 0.5 or np.any(p <= 0):
         raise ValueError("weight construction failed its own bounds")
@@ -578,18 +565,17 @@ def cex2_build(utility: Optional[UtilitySpec] = None,
 
 
 def _inner_max(inst: Cex2Instance, x: float) -> tuple[float, float]:
-    """max over positions of E[U(x + delta (S - 1))] on the admissible range."""
+    """max over positions of E[U(x + delta (S - 1))] on the admissible range.
+
+    Below unit wealth delta = x binds by construction, so a boundary optimum
+    is reported only at the lower end, or at the upper end when x >= 1.
+    """
     lo, hi = -x * (1.0 - 1e-13), x
-
-    def neg(delta):
-        w = inst.wealth(x, delta)
-        return -float(sum(p * inst.utility.value(wi)
-                          for p, wi in zip(inst.probs, w)))
-
-    res = optimize.minimize_scalar(neg, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-12})
+    res = optimize.minimize_scalar(
+        lambda d: -inst.expectation(lambda s: inst.utility.value(x + d * (s - 1))),
+        bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
     delta = float(res.x)
-    if min(delta - lo, hi - delta) < 1e-6 * x:
+    if delta - lo < 1e-6 * x or (x >= 1.0 and hi - delta < 1e-6 * x):
         warnings.warn("inner maximization ended on the admissibility "
                       "boundary; increase the state count",
                       OptimumAtBoundary)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import factorial
 
 from .cmcalc import DnFunction
@@ -24,6 +25,7 @@ from .errors import InvalidMeasure, NoRoot, OrderExceeded, RangeError
 from .measures import (
     BernsteinMeasure,
     DensityPiece,
+    _any,
     exp_difference_moment,
     laplace_moment,
     mass,
@@ -40,70 +42,80 @@ __all__ = [
 ]
 
 
-def invert_decreasing(fn, dfn, target: float, y_init: float = 1.0,
-                      rel_tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Solve fn(y) = target for a strictly decreasing positive fn.
+def invert_decreasing(fn, dfn, target, y_init: float = 1.0,
+                      rel_tol: float = 1e-12, max_iter: int = 200):
+    """Solve fn(y) = target elementwise for a strictly decreasing positive fn.
 
-    Brackets by geometric doubling from y_init, then runs Newton with the
-    supplied derivative, falling back to bisection whenever an iterate
-    leaves the bracket.
+    Each element is bracketed by geometric halving and doubling from y_init,
+    then solved by Newton with dfn, falling back to bisection whenever an
+    iterate leaves its bracket.  fn and dfn act elementwise on the shape of
+    ``target``: a scalar target gives a float, an array an array.
     """
-    lo = hi = y_init
-    flo = fhi = fn(y_init)
+    target = np.asarray(target, dtype=float)[()]
+    lo = hi = np.full(target.shape, float(y_init))[()]
+    flo = fhi = fn(lo)
     for _ in range(2000):
-        if flo >= target:
+        low, high = ~(flo >= target), ~(fhi <= target)
+        if _any(low):
+            lo = _where(low, lo / 2.0, lo)
+            if _any(lo == 0.0):
+                raise NoRoot("target above the attainable range")
+            flo = _where(low, fn(lo), flo)
+        elif _any(high):
+            hi = _where(high, hi * 2.0, hi)
+            fhi = _where(high, fn(hi), fhi)
+        else:
             break
-        lo /= 2.0
-        if lo == 0.0:
-            raise NoRoot("target above the attainable range")
-        flo = fn(lo)
-    else:
-        raise NoRoot("target above the attainable range")
-    for _ in range(2000):
-        if fhi <= target:
-            break
-        hi *= 2.0
-        fhi = fn(hi)
     else:
         raise NoRoot("target below the attainable range")
     y = 0.5 * (lo + hi)
+    tol = rel_tol * np.maximum(np.abs(target), 1e-300)
     for _ in range(max_iter):
         f = fn(y) - target
-        if abs(f) <= rel_tol * max(abs(target), 1e-300):
-            return y
-        if f > 0:
-            lo = max(lo, y)
-        else:
-            hi = min(hi, y)
-        d = dfn(y)
-        step = y - f / d if d != 0 else math.nan
-        if not (lo < step < hi) or not math.isfinite(step):
-            step = 0.5 * (lo + hi)
-        y = step
-    return y
+        active = ~(np.abs(f) <= tol)
+        if not _any(active):
+            break
+        # each iterate lies inside its bracket and replaces one end of it
+        above = f > 0
+        lo = _where(above, y, lo)
+        hi = _where(above, hi, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = y - f / dfn(y)
+        # a zero or non-finite slope gives a step outside the bracket
+        step = _where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        y = _where(active, step, y)
+    return float(y) if np.ndim(y) == 0 else y
+
+
+def _where(cond, a, b):
+    """np.where without the array round trip for a scalar condition."""
+    if cond.ndim == 0:
+        return a if cond else b
+    return np.where(cond, a, b)
 
 
 class UtilitySpec:
-    """Common surface of all utility specifications."""
+    """Common surface of all utility specifications; every method acts
+    elementwise (a scalar gives a float, an array an array of its shape)."""
 
     kind: str = "abstract"
 
     # subclasses implement: inverse_marginal, conjugate, conjugate_derivative
-    def inverse_marginal(self, y: float) -> float:
+    def inverse_marginal(self, y):
         raise NotImplementedError
 
-    def conjugate(self, y: float) -> float:
+    def conjugate(self, y):
         raise NotImplementedError
 
-    def conjugate_derivative(self, k: int, y: float) -> float:
+    def conjugate_derivative(self, k: int, y):
         raise NotImplementedError
 
     @property
     def max_order(self) -> float:
         return math.inf
 
-    def marginal(self, x: float) -> float:
-        if x <= 0:
+    def marginal(self, x):
+        if _any(np.asarray(x) <= 0):
             raise ValueError("x must be positive")
         try:
             return invert_decreasing(
@@ -115,21 +127,21 @@ class UtilitySpec:
             raise RangeError(f"x={x} outside the range of the inverse "
                              f"marginal") from exc
 
-    def value(self, x: float) -> float:
+    def value(self, x):
         """U(x) recovered through conjugacy: U(x) = V(y) + x*y at y = U'(x)."""
         y = self.marginal(x)
         return self.conjugate(y) + x * y
 
-    def second(self, x: float) -> float:
+    def second(self, x):
         """U''(x) = -1 / V''(U'(x)) by the inverse-function theorem."""
         return -1.0 / self.conjugate_derivative(2, self.marginal(x))
 
-    def rrt(self, y: float) -> float:
+    def rrt(self, y):
         """Relative risk tolerance B(y) = -V''(y) y / V'(y)."""
         return (-self.conjugate_derivative(2, y) * y
                 / self.conjugate_derivative(1, y))
 
-    def rra(self, x: float) -> float:
+    def rra(self, x):
         """Relative risk aversion A(x) = -U''(x) x / U'(x) = 1 / B(U'(x))."""
         return 1.0 / self.rrt(self.marginal(x))
 
@@ -166,13 +178,13 @@ class LogUtility(UtilitySpec):
         return 1.0 / x
 
     def value(self, x):
-        return math.log(x)
+        return np.log(x)
 
     def second(self, x):
         return -1.0 / x**2
 
     def conjugate(self, y):
-        return -math.log(y) - 1.0
+        return -np.log(y) - 1.0
 
     def conjugate_derivative(self, k, y):
         if k < 1:
@@ -180,10 +192,10 @@ class LogUtility(UtilitySpec):
         return (-1.0) ** k * factorial(k - 1, exact=True) * y ** (-k)
 
     def rra(self, x):
-        return 1.0
+        return np.full_like(x, 1.0, dtype=float)[()]
 
     def rrt(self, y):
-        return 1.0
+        return np.full_like(y, 1.0, dtype=float)[()]
 
     def to_dict(self):
         return {"kind": "log"}
@@ -227,10 +239,10 @@ class PowerUtility(UtilitySpec):
         return coeff * y ** (self.q - k)
 
     def rra(self, x):
-        return 1.0 - self.p
+        return np.full_like(x, 1.0 - self.p, dtype=float)[()]
 
     def rrt(self, y):
-        return 1.0 / (1.0 - self.p)
+        return np.full_like(y, 1.0 / (1.0 - self.p), dtype=float)[()]
 
     def to_dict(self):
         return {"kind": "power", "p": self.p}
@@ -253,7 +265,7 @@ class MeasureUtility(UtilitySpec):
                                  "mass so the marginal blows up at 0")
 
     def inverse_marginal(self, y):
-        if y <= 0:
+        if _any(np.asarray(y) <= 0):
             raise ValueError("y must be positive")
         return laplace_moment(self.measure, y, 0)
 

@@ -6,7 +6,8 @@ A measure is a finite list of atoms (z, w) plus density pieces
 Lebesgue measure, fractional-power densities ``z**(-q)``, truncated tails,
 and differences such as ``(1 - exp(-z)) dz``.  Moments against the kernel
 ``z**k * exp(-x*z)`` reduce to incomplete-gamma evaluations, so the common
-path needs no quadrature at all.
+path needs no quadrature at all.  Both moment kernels act elementwise on
+their rate argument: a scalar gives a float, an array an array of its shape.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ __all__ = [
 
 # accuracy of the quadrature for exponents p <= -1 on pieces away from 0
 _QUAD_TOL = 1e-10
+_LOG_MAX = math.log(np.finfo(float).max)  # largest finite argument of exp
+
+
+def _any(mask) -> bool:
+    """Whether any element of a boolean array or numpy bool is true."""
+    return bool(mask) if mask.size == 1 else bool(mask.any())
 
 
 @dataclass(frozen=True)
@@ -152,34 +159,40 @@ class BernsteinMeasure:
         return cls(atoms=tuple(atoms))
 
 
-def _gamma_interval(q: float, x1: float, x2: float) -> float:
-    """Regularized incomplete-gamma mass P(q, x2) - P(q, x1), q > 0."""
-    if x2 <= x1:
-        return 0.0
+def _gamma_interval(q: float, x1, x2):
+    """Incomplete-gamma mass P(q, x2) - P(q, x1) for q > 0, elementwise."""
     # the upper and lower forms are equal in exact arithmetic; take the one
     # computed from the larger operands to limit cancellation
     upper_x1 = gammaincc(q, x1)
-    if upper_x1 > 0.5:
-        return upper_x1 - gammaincc(q, x2)
-    return gammainc(q, x2) - gammainc(q, x1)
+    return np.where(upper_x1 > 0.5, upper_x1 - gammaincc(q, x2),
+                    gammainc(q, x2) - gammainc(q, x1))
 
 
-def _power_exp_integral(p: float, s: float, lo: float, hi: float) -> float:
-    """Integral of z**p * exp(-s*z) over [lo, hi], s >= 0."""
-    if s == 0.0:
-        return _power_integral(p, lo, hi)
+def _power_exp_integral(p: float, s, lo: float, hi: float):
+    """Integral of z**p * exp(-s*z) over [lo, hi], elementwise in s >= 0.
+
+    Raises OverflowError where the result exceeds the double range.
+    """
+    s = np.asarray(s, dtype=float)[()]
     if lo == 0.0 and p <= -1.0:
         raise NonIntegrable(f"z**{p} not integrable at 0")
-    if p > -1.0:
-        q = p + 1.0
-        full = math.exp(gammaln(q) - q * math.log(s))
-        if lo == 0.0 and math.isinf(hi):
-            return full
-        return _gamma_interval(q, s * lo, s * hi) * full
-    # p <= -1 with lo > 0 has no incomplete-gamma form with q > 0
-    val, _ = integrate.quad(lambda z: z**p * math.exp(-s * z), lo, hi,
-                            epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    return val
+    zero = s == 0.0
+    if _any(zero):  # no decay there: the plain power integral (hi < inf)
+        return np.where(zero, _power_integral(p, lo, hi),
+                        _power_exp_integral(p, np.where(zero, 1.0, s), lo, hi))
+    if p <= -1.0:
+        # no incomplete-gamma form with q > 0: one quadrature per rate
+        return np.vectorize(lambda r: integrate.quad(
+            lambda z: z**p * math.exp(-r * z), lo, hi, epsabs=_QUAD_TOL,
+            epsrel=_QUAD_TOL, limit=200)[0], otypes=[float])(s)
+    q = p + 1.0
+    log_full = gammaln(q) - q * np.log(s)
+    if _any(log_full > _LOG_MAX):
+        raise OverflowError("moment exceeds the double range")
+    full = np.exp(log_full)
+    if lo == 0.0 and math.isinf(hi):
+        return full
+    return _gamma_interval(q, s * lo, s * hi) * full
 
 
 def _power_integral(p: float, lo: float, hi: float) -> float:
@@ -194,7 +207,7 @@ def _power_integral(p: float, lo: float, hi: float) -> float:
     return (hi_term - lo ** (p + 1.0)) / (p + 1.0)
 
 
-def laplace_moment(m: BernsteinMeasure, x: float, k: int = 0) -> float:
+def laplace_moment(m: BernsteinMeasure, x, k: int = 0):
     """Moment ``integral of z**k * exp(-x*z) dm(z)`` over [0, inf).
 
     Atoms are summed exactly; each density piece is reduced to incomplete
@@ -204,8 +217,8 @@ def laplace_moment(m: BernsteinMeasure, x: float, k: int = 0) -> float:
     Parameters
     ----------
     m : BernsteinMeasure
-    x : float
-        Kernel rate; must be > 0, or >= 0 when every component stays
+    x : float or array
+        Kernel rates; each must be > 0, or >= 0 when every component stays
         integrable at x = 0.
     k : int
         Polynomial order of the kernel, >= 0.
@@ -213,70 +226,70 @@ def laplace_moment(m: BernsteinMeasure, x: float, k: int = 0) -> float:
     Raises
     ------
     NonIntegrable
-        If the integral diverges for the given x.
+        If the integral diverges for some x.
+    OverflowError
+        If a moment exceeds the double range.
     """
-    if x < 0:
+    x = np.asarray(x, dtype=float)[()]
+    if _any(x < 0):
         raise ValueError("x must be >= 0")
     if k < 0 or k != int(k):
         raise ValueError("k must be a nonnegative integer")
     k = int(k)
-    total = 0.0
+    total = np.zeros(x.shape)[()]
     for z, w in m.atoms:
-        zk = 1.0 if k == 0 else z**k
-        total += w * zk * math.exp(-x * z)
+        total = total + w * z**k * np.exp(-x * z)
     for p in m.pieces:
         s = x + p.b
-        if s == 0.0 and math.isinf(p.hi) and p.a + k >= -1.0:
+        if math.isinf(p.hi) and p.a + k >= -1.0 and _any(s == 0.0):
             raise NonIntegrable("kernel does not decay and the piece has an "
                                 "infinite-mass tail at x = 0")
-        total += p.c * _power_exp_integral(p.a + k, s, p.lo, p.hi)
-    return total
+        total = total + p.c * _power_exp_integral(p.a + k, s, p.lo, p.hi)
+    return float(total) if x.ndim == 0 else total
 
 
-def _piece_exp_difference(p: DensityPiece, s1: float, s2: float) -> float:
-    """Integral of t**(a-1) * (exp(-s1*t) - exp(-s2*t)) over the piece."""
+def _piece_exp_difference(p: DensityPiece, s1, s2: float):
+    """Integral of t**(a-1) (exp(-s1 t) - exp(-s2 t)) over the piece, per s1."""
     a, lo, hi = p.a, p.lo, p.hi
-    if a > 0.0:
+    if a > 0.0 or a <= -1.0:
+        # both halves are separately integrable (a <= -1 forces lo > 0)
         return (_power_exp_integral(a - 1.0, s1, lo, hi)
                 - _power_exp_integral(a - 1.0, s2, lo, hi))
     if a == 0.0:
         # 1/t weight: individually log-divergent at 0, the difference is not
         if lo == 0.0:
-            return (math.log(s2 / s1) - exp1(s1 * hi) + exp1(s2 * hi))
+            return np.log(s2 / s1) - exp1(s1 * hi) + exp1(s2 * hi)
         return (exp1(s1 * lo) - exp1(s1 * hi)
                 - exp1(s2 * lo) + exp1(s2 * hi))
-    if a > -1.0:
-        # integrate by parts once; the boundary term vanishes at 0 and inf
-        def boundary(t):
-            if t == 0.0 or math.isinf(t):
-                return 0.0
-            return t**a / a * (math.exp(-s1 * t) - math.exp(-s2 * t))
 
-        inner = (s1 * _power_exp_integral(a, s1, lo, hi)
-                 - s2 * _power_exp_integral(a, s2, lo, hi))
-        return boundary(hi) - boundary(lo) + inner / a
-    # a <= -1 forces lo > 0: both halves are separately integrable
-    return (_power_exp_integral(a - 1.0, s1, lo, hi)
-            - _power_exp_integral(a - 1.0, s2, lo, hi))
+    # -1 < a < 0: integrate by parts once; the boundary term vanishes at 0, inf
+    def boundary(t):
+        if t == 0.0 or math.isinf(t):
+            return 0.0
+        return t**a / a * (np.exp(-s1 * t) - math.exp(-s2 * t))
+
+    inner = (s1 * _power_exp_integral(a, s1, lo, hi)
+             - s2 * _power_exp_integral(a, s2, lo, hi))
+    return boundary(hi) - boundary(lo) + inner / a
 
 
-def exp_difference_moment(m: BernsteinMeasure, y: float, y0: float) -> float:
+def exp_difference_moment(m: BernsteinMeasure, y, y0: float):
     """Integral of ``(exp(-y*t) - exp(-y0*t)) / t dm(t)`` over (0, inf).
 
     This is the kernel that turns the measure representation of a derivative
     into differences of the primitive; it requires m({0}) = 0.
     """
-    if y <= 0 or y0 <= 0:
+    y = np.asarray(y, dtype=float)[()]
+    if _any(y <= 0) or y0 <= 0:
         raise ValueError("y and y0 must be positive")
-    for z, _ in m.atoms:
+    total = np.zeros(y.shape)[()]
+    for z, w in m.atoms:
         if z == 0.0:
             raise NonIntegrable("kernel requires no mass at 0")
-    total = 0.0
-    for z, w in m.atoms:
-        total += w * (math.exp(-y * z) - math.exp(-y0 * z)) / z
+        total = total + w * (np.exp(-y * z) - math.exp(-y0 * z)) / z
     for p in m.pieces:
-        total += p.c * _piece_exp_difference(p, y + p.b, y0 + p.b)
-    return total
+        total = total + p.c * _piece_exp_difference(p, y + p.b, y0 + p.b)
+    return float(total) if y.ndim == 0 else total
 
 
 def mass(m: BernsteinMeasure, lo: float = 0.0, hi: float = math.inf) -> float:
@@ -300,7 +313,7 @@ def mass(m: BernsteinMeasure, lo: float = 0.0, hi: float = math.inf) -> float:
             if p.b == 0.0:
                 part = _power_integral(p.a, a, b)
             else:
-                part = _power_exp_integral(p.a, p.b, a, b)
+                part = float(_power_exp_integral(p.a, p.b, a, b))
         except NonIntegrable:
             divergent.append((p.c, p.a, a))
             continue

@@ -2,12 +2,13 @@
 
 The model enters only through the terminal law of the maximal deflator: the
 dual value function is the expectation v(y) = E[V(y * Y)], its derivatives
-are expectations of V^(n)(y Y) Y**n, the primal marginal is the inverse of
--v', and all higher primal derivatives follow from the chain-rule partition
-sum applied to u'' = -1/v''(u').  A measure recovery routine inverts -v'
-back to its representing measure by high-order scaled derivatives, and a
-finite one-period market type supports enumerating the extreme points of
-its supermartingale-deflator set.
+are expectations of V^(n)(y Y) Y**n, each one call on the outcome array,
+the primal marginal is the inverse of -v', and all higher primal
+derivatives follow from the chain-rule partition sum applied to
+u'' = -1/v''(u').  A measure recovery routine inverts -v' back to its
+representing measure by high-order scaled derivatives, and a finite
+one-period market type supports enumerating the extreme points of its
+supermartingale-deflator set.
 """
 
 from __future__ import annotations
@@ -234,21 +235,16 @@ class ValueFunctionPair:
             # the nodes on which the dual probe E[V(Y)] settles; a
             # non-finite probe means the expectation diverges and more nodes
             # cannot help
-            rule = law.rule(
-                lambda ys: np.array([utility.conjugate(y) for y in ys]))
+            rule = law.rule(utility.conjugate)
             self._outcomes, self._weights = rule.nodes, rule.weights
 
     # -- dual side -----------------------------------------------------------
-
-    def _expect(self, per_outcome) -> float:
-        return float(np.dot(self._weights, per_outcome))
 
     def dual_value(self, y: float) -> float:
         """v(y) = E[V(y * Y_T)]."""
         if y <= 0:
             raise ValueError("y must be positive")
-        vals = np.array([self.utility.conjugate(y * t) for t in self._outcomes])
-        out = self._expect(vals)
+        out = float(self._weights @ self.utility.conjugate(y * self._outcomes))
         if not math.isfinite(out):
             raise DualInfinite(f"dual expectation diverges at y={y}")
         return out
@@ -261,11 +257,9 @@ class ValueFunctionPair:
             raise ValueError("y must be positive")
         if n > self.utility.max_order:
             raise OrderExceeded(f"conjugate offers order {self.utility.max_order}")
-        vals = np.array([
-            self.utility.conjugate_derivative(n, y * t) * t**n
-            for t in self._outcomes
-        ])
-        out = self._expect(vals)
+        out = float(self._weights @ (
+            self.utility.conjugate_derivative(n, y * self._outcomes)
+            * self._outcomes**n))
         if not math.isfinite(out):
             raise DivergentMoment(f"derivative expectation diverges at "
                                   f"n={n}, y={y}")
@@ -363,9 +357,7 @@ class ValueFunctionPair:
     def optimizer_terminal(self, x: float) -> StateTable:
         """Optimal terminal wealth per outcome: X_T = -V'(u'(x) * Y_T)."""
         y = self.primal_marginal(x)
-        vals = np.array([
-            -self.utility.conjugate_derivative(1, y * t) for t in self._outcomes
-        ])
+        vals = -self.utility.conjugate_derivative(1, y * self._outcomes)
         return StateTable(self._outcomes, self._weights, vals)
 
     def optimizer_derivative(self, n: int, x: float) -> StateTable:
@@ -391,10 +383,8 @@ class ValueFunctionPair:
         for ks in multiplicity_partitions(n):
             coeff = faa_di_bruno_coefficient(n, ks)
             order = sum(ks)
-            vk = np.array([
-                -self.utility.conjugate_derivative(1 + order, y * t)
-                for t in self._outcomes
-            ])
+            vk = -self.utility.conjugate_derivative(1 + order,
+                                                    y * self._outcomes)
             prod = np.ones_like(out)
             for j, k in enumerate(ks, start=1):
                 if k:

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cmdual
@@ -75,6 +76,42 @@ def test_solve_csv_log_utility(files, capsys):
     iu1 = header.index("u_1")
     for row in rows:
         assert row[iu1] == pytest.approx(1.0 / row[0], rel=1e-9)
+
+
+def test_solve_finite_order_mixture_on_discrete_deflator(files, tmp_path,
+                                                        capsys):
+    # V(y) = sum_j c_j exp(-z_j y), so v^(k)(y) = sum_i p_i sum_j
+    # c_j (-z_j x_i)**k exp(-z_j y x_i) in closed form
+    zs, cs = np.array([0.5, 1.5, 4.0]), np.array([1.0, 0.3, 0.2])
+    xs, ps = np.array([0.4, 0.9, 1.7]), np.array([0.3, 0.5, 0.2])
+    utility = write(tmp_path, "mix.json", {
+        "kind": "finite_order", "n": 5,
+        "mixture": {"z": zs.tolist(), "c": cs.tolist()}})
+    model = write(tmp_path, "disc.json", {"kind": "discrete",
+                                          "x": xs.tolist(), "p": ps.tolist()})
+    code, out = run_cli(["solve", "--utility", utility, "--model", model,
+                         "--order", "3", "--grid", "0.1:0.6:3"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    cols = payload["columns"]
+
+    def v(k, y):
+        rates = np.multiply.outer(xs, zs)
+        return float(ps @ ((-rates) ** k * np.exp(-y * rates) @ cs))
+
+    assert len(payload["rows"]) == 3
+    for row in payload["rows"]:
+        x, y = row[cols.index("x")], row[cols.index("y")]
+        assert row[cols.index("u_1")] == y
+        assert -v(1, y) == pytest.approx(x, rel=1e-10)
+        assert row[cols.index("v")] == pytest.approx(v(0, y), rel=1e-12)
+        for k in (1, 2, 3):
+            assert row[cols.index(f"v_{k}")] == pytest.approx(v(k, y),
+                                                              rel=1e-12)
+        assert row[cols.index("u")] == pytest.approx(v(0, y) + x * y,
+                                                     rel=1e-12)
+        assert row[cols.index("u_2")] == pytest.approx(-1.0 / v(2, y),
+                                                       rel=1e-10)
 
 
 def test_solve_is_deterministic(files, capsys):

@@ -1,10 +1,11 @@
 """Tests for the analyticity-failure and kinked-value-function constructions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import erfc
 
 from cmdual.cmcalc import check_cm_order, nfold_value
@@ -18,8 +19,8 @@ from cmdual.counterexamples import (
     cex2_build,
     cex2_gap,
 )
-from cmdual.duality import PowerUtility, footnote_utility
-from cmdual.errors import ConstantRRA, EnvelopeViolation
+from cmdual.duality import LogUtility, PowerUtility, UtilitySpec, footnote_utility
+from cmdual.errors import ConstantRRA, EnvelopeViolation, OptimumAtBoundary
 from cmdual.solver import sd_equivalence_audit
 
 
@@ -284,3 +285,41 @@ def test_cex2_accepts_general_footnote_exponent():
     assert -1.0 < inst.delta_hat < 2.0
     rep = cex2_gap(inst, eps_list=(1e-2,))
     assert rep.gap > 0
+
+
+def test_default_cex2_gap_has_no_boundary_warning():
+    # below unit wealth delta = x binds by construction; that is no alarm
+    inst = cex2_build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", OptimumAtBoundary)
+        rep = cex2_gap(inst)
+    assert rep.gap > 0
+
+
+CEX2_UTILITIES = {
+    "footnote1": footnote_utility(1), "footnote2": footnote_utility(2),
+    "footnote3": footnote_utility(3), "power_m1": PowerUtility(-1.0),
+    "power_half": PowerUtility(0.5), "log": LogUtility(),
+    "mixture": UtilitySpec.from_dict(
+        {"kind": "finite_order", "n": 3,
+         "mixture": {"z": [0.5, 2.0], "c": [1.0, 0.4]}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CEX2_UTILITIES))
+def test_second_derivative_floor_is_the_left_end(name):
+    # cex2_build takes min U'' over [2/(3n), 2/3 + 2/(3n)] as U''(2/(3n))
+    u = CEX2_UTILITIES[name]
+    ns = np.arange(2, 201)
+    left = 2.0 / (3.0 * ns)
+    floor = u.second(left)
+    grid = left[:, None] + np.linspace(0.0, 2.0 / 3.0, 65)
+    assert np.all(u.second(grid) >= floor[:, None] * (1.0 + 1e-14))
+    # the bounded search the construction used to run finds the same value
+    for n in (2, 20, 200):
+        lo, hi = left[n - 2], left[n - 2] + 2.0 / 3.0
+        res = optimize.minimize_scalar(u.second, bounds=(lo, hi),
+                                       method="bounded",
+                                       options={"xatol": 1e-12})
+        found = min(float(res.fun), u.second(lo), u.second(hi))
+        assert found == pytest.approx(floor[n - 2], rel=1e-14), n

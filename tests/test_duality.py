@@ -159,3 +159,51 @@ def test_utility_json_round_trip():
                                                      "c": [1.0, 0.5]}})
     assert isinstance(mix, FiniteOrderUtility)
     assert mix.max_order == 3
+
+
+MIXTURE = UtilitySpec.from_dict(
+    {"kind": "finite_order", "n": 3, "mixture": {"z": [0.5, 2.0],
+                                                 "c": [1.0, 0.4]}})
+BROADCAST_SPECS = {"log": LOG, "power_m1": POWER_M1,
+                   "power_half": PowerUtility(0.5), "footnote1": FOOTNOTE,
+                   "footnote2": footnote_utility(2), "mixture": MIXTURE}
+BROADCAST_POINTS = np.array([[0.05, 0.3, 1.0], [1.7, 4.0, 12.0]])
+
+
+@pytest.mark.parametrize("name", sorted(BROADCAST_SPECS))
+def test_utility_methods_broadcast(name):
+    u = BROADCAST_SPECS[name]
+    points = BROADCAST_POINTS * 0.1 if name == "mixture" else BROADCAST_POINTS
+    methods = {
+        "inverse_marginal": u.inverse_marginal, "conjugate": u.conjugate,
+        "marginal": u.marginal, "value": u.value, "second": u.second,
+        "rrt": u.rrt, "rra": u.rra,
+    }
+    for k in (1, 2, 3):
+        methods[f"conjugate_derivative_{k}"] = (
+            lambda y, k=k: u.conjugate_derivative(k, y))
+    for label, method in methods.items():
+        got = method(points)
+        assert got.shape == points.shape, label
+        for t, g in zip(points.flat, got.flat):
+            one = method(float(t))
+            assert isinstance(one, float) and np.ndim(one) == 0, label
+            assert g == pytest.approx(one, rel=1e-14), (label, t)
+
+
+def test_invert_decreasing_broadcasts():
+    from cmdual.duality import invert_decreasing
+
+    fn = FOOTNOTE.inverse_marginal
+
+    def dfn(y):
+        return -FOOTNOTE.conjugate_derivative(2, y)
+
+    targets = np.geomspace(1e-4, 1e4, 12).reshape(3, 4)
+    got = invert_decreasing(fn, dfn, targets)
+    assert got.shape == targets.shape
+    for t, g in zip(targets.flat, got.flat):
+        one = invert_decreasing(fn, dfn, float(t))
+        assert type(one) is float
+        assert g == pytest.approx(one, rel=1e-14)
+        assert fn(one) == pytest.approx(t, rel=1e-11)

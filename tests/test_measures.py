@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,3 +201,47 @@ def test_additivity_over_pieces():
         whole = laplace_moment(union, x, 1)
         split = sum(laplace_moment(p, x, 1) for p in parts)
         assert whole == pytest.approx(split, rel=1e-10)
+
+
+# one measure per branch of the moment kernels: atoms, a full-range piece,
+# both incomplete-gamma forms (s*lo on either side of the median), the
+# quadrature for exponents <= -1 away from 0, and x = 0 on bounded pieces
+BRANCH_MEASURES = {
+    "atoms": BernsteinMeasure.from_atoms([(0.5, 1.0), (3.0, 0.5)]),
+    "full_range": BernsteinMeasure(pieces=(DensityPiece(0.7, 1.0, 0.3),)),
+    "gamma_forms": BernsteinMeasure(
+        pieces=(DensityPiece(1.0, -0.5, 0.0, 0.5, 4.0),)),
+    "quadrature": BernsteinMeasure(
+        pieces=(DensityPiece(1.0, -2.0, 0.0, 0.5, 3.0),)),
+}
+BROADCAST_XS = np.array([[0.0, 0.1, 0.5], [2.0, 7.0, 20.0]])
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_MEASURES))
+def test_laplace_moment_broadcasts(name):
+    m = BRANCH_MEASURES[name]
+    for k in (0, 2):
+        got = laplace_moment(m, BROADCAST_XS, k)
+        assert got.shape == BROADCAST_XS.shape
+        for x, g in zip(BROADCAST_XS.flat, got.flat):
+            one = laplace_moment(m, float(x), k)
+            assert type(one) is float
+            assert g == pytest.approx(one, rel=1e-14, abs=1e-300)
+
+
+@pytest.mark.parametrize("a,lo,hi", [
+    (1.5, 0.0, math.inf), (0.0, 0.0, math.inf), (0.0, 0.5, 4.0),
+    (-0.5, 0.0, 2.0), (-2.5, 1.0, 6.0),
+])
+def test_exp_difference_moment_broadcasts(a, lo, hi):
+    from cmdual.measures import exp_difference_moment
+
+    m = BernsteinMeasure(atoms=((0.5, 1.0),),
+                         pieces=(DensityPiece(1.5, a, 0.25, lo, hi),))
+    ys = BROADCAST_XS + 0.05
+    got = exp_difference_moment(m, ys, 1.0)
+    assert got.shape == ys.shape
+    for y, g in zip(ys.flat, got.flat):
+        one = exp_difference_moment(m, float(y), 1.0)
+        assert type(one) is float
+        assert g == pytest.approx(one, rel=1e-14, abs=1e-300)

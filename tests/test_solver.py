@@ -412,3 +412,20 @@ def test_vertex_only_checks_can_disagree_without_maximal_element():
 def test_merged_law_aggregates():
     law = merged_law([1.0, 1.0, 2.0], [0.25, 0.25, 0.5])
     assert law == Discrete((1.0, 2.0), (0.5, 0.5))
+
+
+def test_dual_derivative_is_one_kernel_call(monkeypatch):
+    # every expectation is one call on the outcome array, never a loop
+    import cmdual.duality
+
+    pair = ValueFunctionPair(footnote_utility(1), MarketModel.lognormal(1.0))
+    calls = []
+    kernel = cmdual.duality.laplace_moment
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(cmdual.duality, "laplace_moment", counted)
+    assert pair.dual_derivative(3, 1.0) < 0.0
+    assert len(calls) == 1
