@@ -568,14 +568,22 @@ def _inner_max(inst: Cex2Instance, x: float) -> tuple[float, float]:
     """max over positions of E[U(x + delta (S - 1))] on the admissible range.
 
     Below unit wealth delta = x binds by construction, so a boundary optimum
-    is reported only at the lower end, or at the upper end when x >= 1.
+    is reported only at the lower end, or at the upper end when x >= 1 and
+    the objective still rises there (at x = 1 one share is optimal by
+    construction and the slope cancels).
     """
     lo, hi = -x * (1.0 - 1e-13), x
     res = optimize.minimize_scalar(
         lambda d: -inst.expectation(lambda s: inst.utility.value(x + d * (s - 1))),
         bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
     delta = float(res.x)
-    if delta - lo < 1e-6 * x or (x >= 1.0 and hi - delta < 1e-6 * x):
+
+    def slope(s):
+        return inst.utility.marginal(x + hi * (s - 1)) * (s - 1)
+
+    rising = x >= 1.0 and hi - delta < 1e-6 * x and inst.expectation(
+        slope) > 1e-8 * inst.expectation(lambda s: np.abs(slope(s)))
+    if delta - lo < 1e-6 * x or rising:
         warnings.warn("inner maximization ended on the admissibility "
                       "boundary; increase the state count",
                       OptimumAtBoundary)

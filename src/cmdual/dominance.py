@@ -15,8 +15,9 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyroots, polyval
 from scipy import integrate
-from scipy.special import factorial, log_ndtr, ndtr, ndtri, roots_hermite
+from scipy.special import log_ndtr, ndtr, ndtri, roots_hermite
 
 from .cmcalc import DnFunction
 from .errors import QuadratureFailure
@@ -37,6 +38,8 @@ __all__ = [
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
 MIN_NODES, MAX_NODES = 64, 4096
+# Laplace rates compared by dominates_inf and sampled by test_function_audit
+Z_RANGE = (1e-4, 1e4)
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +144,7 @@ class Discrete(Distribution):
             out = (xs[None, :] <= ys[:, None]) @ ps
         else:
             gap = np.clip(ys[:, None] - xs[None, :], 0.0, None)
-            out = gap ** (n - 1) @ ps / factorial(n - 1, exact=True)
+            out = gap ** (n - 1) @ ps / math.factorial(n - 1)
         return out
 
     def laplace(self, z):
@@ -216,7 +219,7 @@ class Lognormal(Distribution):
         logy = np.log(np.where(ys > 0, ys, 1.0))[:, None]
         logs = ((n - 1 - k) * logy + k * self.m + k**2 * self.s2 / 2.0
                 + log_ndtr(self._score(ys)[:, None] - k * self.s))
-        out = np.exp(logs) @ signs / factorial(n - 1, exact=True)
+        out = np.exp(logs) @ signs / math.factorial(n - 1)
         return np.where(ys > 0, out, 0.0)
 
     def rule(self, probe) -> QuadratureRule:
@@ -294,53 +297,45 @@ class DominanceVerdict:
 
 
 def _tol(a, b):
-    return ABS_TOL + REL_TOL * max(abs(a), abs(b))
-
-
-def _poly_between(dist: Discrete, n: int, left: float):
-    """Coefficients (ascending powers) of F_n on an interval just right of left."""
-    xs, ps = np.asarray(dist.xs), np.asarray(dist.ps)
-    mask = xs <= left
-    fac = factorial(n - 1, exact=True)
-    coeffs = np.zeros(n)
-    for r in range(n):
-        coeffs[r] = np.sum(
-            ps[mask] * math.comb(n - 1, r) * (-xs[mask]) ** (n - 1 - r)) / fac
-    return coeffs
+    """Tie tolerance between two values, elementwise."""
+    return ABS_TOL + REL_TOL * np.maximum(np.abs(a), np.abs(b))
 
 
 def _discrete_pair_violation(F: Discrete, G: Discrete, n: int):
+    """Leftmost point found where G_n - F_n falls below the tie tolerance.
+
+    On each knot interval, d/dy F_m = F_(m-1) makes F_n a polynomial with
+    the exact local expansion F_n(k + t) = sum_(r<n) F_(n-r)(k) t**r / r!,
+    so the knots, the interior minima of each interval and the sign of the
+    highest non-tied coefficient past the last knot decide the verdict.
+    """
     knots = np.unique(np.concatenate([F.xs, G.xs, [0.0]]))
-    gvals = G.iterated(n, knots)
-    diff = gvals - F.iterated(n, knots)
-    for y, gv, dval in zip(knots, gvals, diff):
-        if dval < -_tol(gv, gv - dval):
-            return float(y)
-    if n == 1:
-        return None
-    # between knots the difference is a degree n-1 polynomial; check its
-    # interior minima and the tail behaviour
-    intervals = list(zip(knots, knots[1:])) + [(knots[-1], math.inf)]
-    for left, right in intervals:
-        c = _poly_between(G, n, left) - _poly_between(F, n, left)
-        roots = np.polynomial.Polynomial(c).deriv().roots()
-        crit = [float(r.real) for r in roots
-                if abs(r.imag) < 1e-12 and left < r.real < right]
-        for y in crit:
-            dval = float(np.polynomial.Polynomial(c)(y))
-            gv = float(G.iterated(n, [y])[0])
-            if dval < -_tol(gv, gv - dval):
-                return float(y)
-        if right == math.inf:
-            # asymptotics: leading surviving coefficient decides the sign
-            scale = max(1.0, float(np.max(np.abs(c))))
-            trimmed = np.polynomial.Polynomial(c).trim(tol=1e-13 * scale)
-            lead = trimmed.coef[-1]
-            if lead < -1e-10 * scale:
-                y = knots[-1] + 1.0
-                while float(np.polynomial.Polynomial(c)(y)) >= -ABS_TOL:
-                    y *= 2.0
-                return float(y)
+    # row r: F_(n-r) and G_(n-r) at every knot
+    f = np.array([F.iterated(n - r, knots) for r in range(n)])
+    g = np.array([G.iterated(n - r, knots) for r in range(n)])
+    fac = np.array([float(math.factorial(r)) for r in range(n)])[:, None]
+    gc, dc = g / fac, (g - f) / fac
+    bad = dc[0] < -_tol(g[0], f[0])
+    if bad.any():
+        return float(knots[np.argmax(bad)])
+    if n >= 3:
+        for j, width in enumerate(np.diff(knots, append=math.inf)):
+            roots = polyroots(polyder(dc[:, j]))
+            ts = np.sort(roots.real[(np.abs(roots.imag) < 1e-12)
+                                    & (roots.real > 0) & (roots.real < width)])
+            dval, gval = polyval(ts, dc[:, j]), polyval(ts, gc[:, j])
+            bad = dval < -_tol(gval, gval - dval)
+            if bad.any():
+                return float(knots[j] + ts[np.argmax(bad)])
+    # past the last knot the highest-degree coefficient that is not a tie
+    # of its own two iterated-CDF values decides the sign
+    last_f, last_g = f[:, -1], g[:, -1]
+    lead = np.flatnonzero(np.abs(last_g - last_f) > _tol(last_g, last_f))
+    if lead.size and dc[lead[-1], -1] < 0:
+        y = knots[-1] + 1.0
+        while polyval(y - knots[-1], dc[:, -1]) >= -ABS_TOL:
+            y *= 2.0
+        return float(y)
     return None
 
 
@@ -384,7 +379,7 @@ def _grid_violation(F: Distribution, G: Distribution, n: int):
              for points in (129 << i for i in range(5)))
     return _refined_witness(
         grids, lambda grid: (F.iterated(n, grid), G.iterated(n, grid)),
-        lambda f, g: ABS_TOL + REL_TOL * np.maximum(np.abs(f), np.abs(g)))
+        _tol)
 
 
 def dominates_n(F: Distribution, G: Distribution, n: int) -> DominanceVerdict:
@@ -405,22 +400,24 @@ def dominates_n(F: Distribution, G: Distribution, n: int) -> DominanceVerdict:
     return DominanceVerdict(witness is None, witness, n)
 
 
-def default_zgrid(lo: float = 1e-4, hi: float = 1e4, count: int = 200):
-    return np.geomspace(lo, hi, count)
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
-def dominates_inf(F: Distribution, G: Distribution,
-                  zgrid=None) -> DominanceVerdict:
+# the refinement schedule of dominates_inf: 200 log-spaced rates, doubled
+_ZGRIDS = tuple(_read_only(np.geomspace(*Z_RANGE, 200 << i)) for i in range(6))
+
+
+def dominates_inf(F: Distribution, G: Distribution) -> DominanceVerdict:
     """Does F dominate G at infinite order: E[e^-z xi_F] <= E[e^-z xi_G] for z > 0?
 
-    Compared pointwise on a log-spaced z-grid with relative tolerance 1e-10;
-    the grid is doubled until the verdict is stable across two refinements.
+    Compared pointwise on a log-spaced grid over Z_RANGE with relative
+    tolerance 1e-10; the grid is doubled until the verdict is stable across
+    two refinements.
     """
-    grid = default_zgrid() if zgrid is None else np.asarray(zgrid, dtype=float)
-    grids = (grid if i == 0 else np.geomspace(grid[0], grid[-1], grid.size << i)
-             for i in range(6))
     witness = _refined_witness(
-        grids, lambda zs: (np.asarray(F.laplace(zs)), np.asarray(G.laplace(zs))),
+        _ZGRIDS, lambda zs: (np.asarray(F.laplace(zs)), np.asarray(G.laplace(zs))),
         lambda f, g: 1e-10 * np.maximum(f, g) + 1e-300)
     return DominanceVerdict(witness is None, witness, math.inf)
 
@@ -482,18 +479,17 @@ class AuditReport:
 
 
 def test_function_audit(F: Distribution, G: Distribution, order: float,
-                        family_size: int = 100, seed: int = 0,
-                        zgrid=(1e-4, 1e4)) -> AuditReport:
+                        family_size: int = 100, seed: int = 0) -> AuditReport:
     """Cross-examine a dominance verdict with sampled decreasing test functions.
 
-    Exponentials exp(-z*y) are sampled log-uniformly on the zgrid range; for
+    Exponentials exp(-z*y) are sampled log-uniformly on Z_RANGE; for
     finite order, positive mixtures whose n-th derivative is
     sum_j c_j exp(-z_j t) (up to sign) are added.  The dominant law must give
     the smaller expectation for every sampled function; the first failure is
     returned as a counterexample.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = math.log(zgrid[0]), math.log(zgrid[-1])
+    lo, hi = math.log(Z_RANGE[0]), math.log(Z_RANGE[1])
     finite = order != math.inf
     n = int(order) if finite else None
     tested = 0

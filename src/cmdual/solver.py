@@ -43,17 +43,19 @@ __all__ = [
 ]
 
 
+def _group_sums(keys, *weights):
+    """Distinct keys in ascending order and each weight array summed over them."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return uniq, *(np.bincount(inverse, weights=w, minlength=uniq.size)
+                   for w in weights)
+
+
 def merged_law(values, probs) -> Discrete:
     """Law of a random variable on a finite space, merging equal values."""
     values = np.asarray(values, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    agg: dict[float, float] = {}
-    for v, p in zip(values, probs):
-        key = float(round(v / 1e-12) * 1e-12) if v != 0 else 0.0
-        agg[key] = agg.get(key, 0.0) + p
-    xs = tuple(sorted(agg))
-    ps = np.array([agg[x] for x in xs])
-    return Discrete(xs, tuple(ps / ps.sum()))
+    keys = np.where(values != 0, np.round(values / 1e-12) * 1e-12, 0.0)
+    xs, ps = _group_sums(keys, np.asarray(probs, dtype=float))
+    return Discrete(tuple(xs), tuple(ps / ps.sum()))
 
 
 @dataclass(frozen=True)
@@ -489,16 +491,10 @@ class EquivalenceReport:
 
 def _conditional_dominates(probs, y_hat, y_other, tol=1e-9) -> bool:
     """Check y_hat >= E[y_other | sigma(y_hat)] by grouping equal y_hat values."""
-    groups: dict[float, list[int]] = {}
-    for i, v in enumerate(y_hat):
-        key = float(round(v / 1e-9) * 1e-9)
-        groups.setdefault(key, []).append(i)
-    for key, idx in groups.items():
-        pw = sum(probs[i] for i in idx)
-        cond_mean = sum(probs[i] * y_other[i] for i in idx) / pw
-        if cond_mean > key + tol * (1.0 + abs(key)):
-            return False
-    return True
+    keys = np.round(np.asarray(y_hat, dtype=float) / 1e-9) * 1e-9
+    levels, mass, weighted = _group_sums(
+        keys, probs, probs * np.asarray(y_other, dtype=float))
+    return not np.any(weighted / mass > levels + tol * (1.0 + np.abs(levels)))
 
 
 def sd_equivalence_audit(fm: FiniteMarket, candidate=None) -> EquivalenceReport:
@@ -518,19 +514,15 @@ def sd_equivalence_audit(fm: FiniteMarket, candidate=None) -> EquivalenceReport:
     probs = np.asarray(fm.probs)
     candidates = [np.asarray(candidate, dtype=float)] if candidate is not None \
         else vertices
+    laws = [merged_law(other, probs) for other in vertices]
     results = []
     for cand in candidates:
         law_hat = merged_law(cand, probs)
-        c_inf = c_cond = c_two = True
-        for other in vertices:
-            law_other = merged_law(other, probs)
-            if c_inf and not dominates_inf(law_hat, law_other):
-                c_inf = False
-            if c_cond and not _conditional_dominates(probs, cand, other):
-                c_cond = False
-            if c_two and not dominates_n(law_hat, law_other, 2):
-                c_two = False
-        results.append(CandidateVerdicts(tuple(cand), c_inf, c_cond, c_two))
+        results.append(CandidateVerdicts(
+            tuple(cand),
+            all(dominates_inf(law_hat, law) for law in laws),
+            all(_conditional_dominates(probs, cand, other) for other in vertices),
+            all(dominates_n(law_hat, law, 2) for law in laws)))
     all_agree = all(r.agree for r in results)
     maximal = next((r.vertex for r in results if r.maximal), None)
     return EquivalenceReport(tuple(results), all_agree, maximal)

@@ -212,8 +212,12 @@ def test_cex2_invariants(market60):
 
 def test_cex2_one_share_is_optimal_at_unit_wealth(market60):
     from cmdual.counterexamples import _inner_max
+    from cmdual.errors import OptimumAtBoundary
 
-    value, delta = _inner_max(market60, 1.0)
+    # one share is optimal by construction, so the limit is no false alarm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", OptimumAtBoundary)
+        value, delta = _inner_max(market60, 1.0)
     assert delta == pytest.approx(1.0, abs=1e-6)
     assert value == pytest.approx(
         market60.expectation(market60.utility.value), abs=1e-12)

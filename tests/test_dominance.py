@@ -1,6 +1,7 @@
 """Tests for laws, iterated CDFs, and dominance orders."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -284,3 +285,92 @@ def test_lognormal_iterated_closed_form(n):
             want = lognormal_iterated_oracle(d, n, y)
             assert abs(got - want) <= ABS_TOL + REL_TOL * max(abs(got),
                                                               abs(want))
+
+
+# ---- known answers at every scale ---------------------------------------------
+
+SCALES = (1.0, 10.0, 100.0, 1e3, 1e4)
+
+
+def scaled(d, scale):
+    return Discrete(tuple(np.asarray(d.xs) * scale), d.ps)
+
+
+def exact_iterated(d, n, y):
+    """F_n(y) = sum_i p_i (y - x_i)_+**(n-1) / (n-1)! in exact rationals."""
+    y = Fraction(y)
+    return sum((Fraction(p) * (y - Fraction(x)) ** (n - 1)
+                for x, p in zip(d.xs, d.ps) if x <= y),
+               Fraction(0)) / math.factorial(n - 1)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_point_masses_are_ordered_by_location(scale):
+    # for a > b, delta_a dominates delta_b at every order, never conversely
+    rng = np.random.default_rng(11)
+    pairs = [(47.12325, 36.72854)] + [
+        tuple(np.sort(rng.uniform(0.0, 50.0, 2))[::-1]) for _ in range(20)]
+    for a, b in pairs:
+        high = Discrete.point(a * scale)
+        low = Discrete.point(b * scale)
+        for n in range(1, 9):
+            assert dominates_n(high, low, n), (a, b, n)
+            assert not dominates_n(low, high, n), (a, b, n)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_point_dominates_its_symmetric_spread(scale):
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        m = rng.uniform(0.5, 50.0)
+        d = rng.uniform(0.01, 1.0) * m
+        point = Discrete.point(m * scale)
+        spread = Discrete(((m - d) * scale, (m + d) * scale), (0.5, 0.5))
+        for n in range(2, 9):
+            assert dominates_n(point, spread, n), (m, d, n)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_smaller_mean_never_dominates(scale):
+    # E F < E G makes G_n - F_n -> -inf past the last atom for every n >= 2
+    rng = np.random.default_rng(13)
+    checked = 0
+    while checked < 50:
+        f, g = random_discrete(rng), random_discrete(rng)
+        if abs(f.mean() - g.mean()) < 1e-6:
+            continue
+        low, high = (f, g) if f.mean() < g.mean() else (g, f)
+        for n in range(2, 9):
+            assert not dominates_n(scaled(low, scale), scaled(high, scale), n)
+        checked += 1
+
+
+def test_smaller_mean_witness_is_an_exact_violation():
+    # E F = 300 < E G = 301, so F cannot dominate G at any order >= 2
+    F, G = Discrete.point(300.0), Discrete((200.0, 402.0), (0.5, 0.5))
+    for n in range(2, 9):
+        verdict = dominates_n(F, G, n)
+        assert not verdict
+        y = verdict.witness
+        assert exact_iterated(G, n, y) - exact_iterated(F, n, y) < 0, (n, y)
+
+
+def test_discrete_order_n_reads_only_iterated_cdfs(monkeypatch):
+    # the local Taylor coefficients come from one Discrete.iterated call per
+    # order and law; no second formula for F_n
+    calls = []
+    iterated = Discrete.iterated
+
+    def counted(self, n, ys):
+        calls.append(n)
+        return iterated(self, n, ys)
+
+    monkeypatch.setattr(Discrete, "iterated", counted)
+    pairs = [(DELTA1, UNIF02), (UNIF02, DELTA1),
+             (Discrete((0.5, 3.0), (0.5, 0.5)),
+              Discrete((1.0, 2.0, 2.5), (0.2, 0.5, 0.3)))]
+    for F, G in pairs:
+        for n in range(1, 9):
+            calls.clear()
+            dominates_n(F, G, n)
+            assert len(calls) == 2 * n, (F, G, n)

@@ -414,6 +414,26 @@ def test_merged_law_aggregates():
     assert law == Discrete((1.0, 2.0), (0.5, 0.5))
 
 
+def test_audit_merges_each_law_once(monkeypatch):
+    import cmdual.solver
+
+    fm = FiniteMarket((0.3, 0.3, 0.2, 0.2), (0.5, 0.8, 1.5, 2.0), 1.0)
+    vertices = fm.deflator_vertices()
+    assert len(vertices) > 1
+    calls = []
+
+    def counted(values, probs):
+        calls.append(values)
+        return merged_law(values, probs)
+
+    monkeypatch.setattr(cmdual.solver, "merged_law", counted)
+    sd_equivalence_audit(fm)
+    assert len(calls) == 2 * len(vertices)
+    calls.clear()
+    sd_equivalence_audit(fm, candidate=vertices[0])
+    assert len(calls) == len(vertices) + 1
+
+
 def test_dual_derivative_is_one_kernel_call(monkeypatch):
     # every expectation is one call on the outcome array, never a loop
     import cmdual.duality
