@@ -142,7 +142,8 @@ class DnFunction:
         (-1)**k W^(k)(y) = int_y^inf (t-y)**(n-1-k)/(n-1-k)! (-1)**n W^(n)(t) dt.
 
     ``exact`` optionally short-circuits derivative evaluation with a closed
-    form (used for test-function families where all orders are known).
+    form (used for test-function families where all orders are known, all
+    of which vanish at infinity).
     ``exact``, ``derivative`` and ``value`` act elementwise on y (a float for
     a scalar, an array for an array); finite-order quadrature runs per point.
     """
@@ -257,8 +258,9 @@ class DnFunction:
     def value_at_infinity(self) -> float:
         """lim W(y) as y -> inf, by integrating -W' over the anchor tail."""
         if self.exact is not None:
-            # exponential-type families vanish at infinity
-            return self.exact(0, 1e8)
+            # the closed-form families (exponential mixtures, the cex1
+            # conjugate ~ f_inf / y) vanish at infinity
+            return 0.0
         y0, w0 = self.anchor
         tail, _ = integrate.quad(lambda s: -self.derivative(1, s), y0, math.inf,
                                  epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,

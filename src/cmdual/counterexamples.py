@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.special import erf, erfc, polygamma
+from scipy.special import erf, erfc, polygamma, zeta
 
 from .cmcalc import DnFunction
 from .duality import UtilitySpec, footnote_utility
@@ -46,12 +47,6 @@ SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 ZETA2 = float(polygamma(1, 1))
 # erf(1/sqrt(2)): left half-mass of the widest bump term
 _ERF_HALF = float(erf(1.0 / math.sqrt(2.0)))
-
-
-def _zeta_tail(s: int, a) -> np.ndarray:
-    """sum_{i >= a} i**-s for integer s >= 2, vectorized in a."""
-    a = np.asarray(a, dtype=float)
-    return (-1.0) ** s * polygamma(s - 1, a) / math.factorial(s - 1)
 
 
 @dataclass(frozen=True)
@@ -149,10 +144,13 @@ class _ScaledReciprocalTail:
             + (n!/C) * sqrt(pi/2) * sum_i i**-2 E_i(y),
 
     with E_i the tail integral of (t-y)**m/m! t**-(n+1) against the
-    complementary-error step of spike i (m = n-1-k).  Spikes fully below y
-    vanish, spikes far above contribute an exact power-tail step, the one
-    spike within its boundary layer gets a Gaussian-moment expansion, and
-    the three wide low-index spikes are integrated numerically.  All parts
+    complementary-error step of spike i (m = n-1-k).  A spike j >= 4 with
+    |y - j| >= 1/2 sits at least 128 of its widths from y, where erfc is
+    exactly 0 or 2 in double precision.  So only the live spike rint(y)
+    gets the Gaussian-moment expansion; every spike below it vanishes, and
+    every spike above it is the exact step 2(H(y) - H(j)) + sig_j**2 h'(j),
+    a power series in j summed over [rint(y)+1, N] by Hurwitz-zeta tails.
+    The three wide low-index spikes are integrated numerically.  All parts
     are vectorized over y, so a million evaluations cost a few array ops.
     """
 
@@ -171,39 +169,25 @@ class _ScaledReciprocalTail:
                          * t ** (j - n) / (n - j))
         return out / math.factorial(m)
 
-    def _h(self, t, y, m):
-        return (t - y) ** m * t ** (-self.n - 1) / math.factorial(m)
-
-    def _hprime(self, t, y, m):
+    def _h(self, t, y, m, d=0):
+        """d-th t-derivative of h(t; y), by Leibniz over its two factors."""
         n = self.n
-        lead = m * (t - y) ** (m - 1) if m >= 1 else 0.0
-        return (lead * t ** (-n - 1)
-                - (n + 1) * (t - y) ** m * t ** (-n - 2)) / math.factorial(m)
+        return sum(math.comb(d, q) * math.perm(m, q) * (t - y) ** (m - q)
+                   * (-1.0) ** (d - q) * math.perm(n + d - q, d - q)
+                   * t ** (q - n - 1 - d)
+                   for q in range(min(d, m) + 1)) / math.factorial(m)
 
     def _spike_quad(self, y: float, i: int, m: int) -> float:
         sig = float(i) ** -4
         hi = i + 13.0 * sig
         if y >= hi:
             return 0.0
-
-        def integrand(t):
-            return (self._h(t, y, m)
-                    * erfc((t - i) / (math.sqrt(2.0) * sig)))
-
-        val, _ = integrate.quad(integrand, y, hi, epsabs=1e-14, epsrel=1e-12,
-                                limit=200)
+        fm, width = math.factorial(m), math.sqrt(2.0) * sig
+        val, _ = integrate.quad(
+            lambda t: (t - y) ** m * t ** (-self.n - 1) / fm
+            * math.erfc((t - i) / width),
+            y, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
         return val
-
-    _BAND = 26  # spikes handled by the expansion before the pure power tail
-
-    def _hsecond(self, t, y, m):
-        n = self.n
-        t2 = m * (m - 1) * (t - y) ** (m - 2) if m >= 2 else 0.0
-        t1 = m * (t - y) ** (m - 1) if m >= 1 else 0.0
-        return (t2 * t ** (-n - 1)
-                - 2.0 * (n + 1) * t1 * t ** (-n - 2)
-                + (n + 1) * (n + 2) * (t - y) ** m
-                * t ** (-n - 3)) / math.factorial(m)
 
     def _band_term(self, y, i, m):
         """E_i by parts with a Gaussian-moment expansion, exact to O(sig**4).
@@ -218,9 +202,7 @@ class _ScaledReciprocalTail:
         gauss = np.where(np.abs(a) > 40.0, 0.0, gauss)
         Hy = self._H(y, y, m)
         Hi = self._H(i, y, m)
-        hi = self._h(i, y, m)
-        hpi = self._hprime(i, y, m)
-        hsi = self._hsecond(i, y, m)
+        hi, hpi, hsi = (self._h(i, y, m, d) for d in range(3))
         root = math.sqrt(2.0 / math.pi)
         return (ec * (Hy - Hi)
                 + root * sig * hi * gauss
@@ -242,35 +224,29 @@ class _ScaledReciprocalTail:
                 vals = [self._spike_quad(float(yy), i, m) for yy in y[mask]]
                 out[mask] += np.asarray(vals) * float(i) ** -2.0
 
-        # a band of spikes around y via the expansion (handles the boundary
-        # layer and the first fully-above spikes whose sig**2 step correction
-        # still matters)
-        jr = np.rint(y).astype(np.int64)
-        base = np.maximum(jr - 1, 4)
-        for off in range(self._BAND):
-            idx = base + off
-            mask = idx <= n_terms
-            if not np.any(mask):
-                break
-            i = idx[mask].astype(float)
+        # the live spike rint(y), the only one whose layer can reach y
+        live = np.rint(y)
+        mask = (live >= 4) & (live <= n_terms)
+        if np.any(mask):
+            i = live[mask]
             out[mask] += i**-2.0 * self._band_term(y[mask], i, m)
 
-        # spikes beyond the band: erfc == 2 exactly, a pure power-tail step
-        i_start = base + self._BAND
-        active = i_start <= n_terms
+        # every spike j > rint(y) has erfc == 2 and gauss == 0 exactly, so
+        # E_j = 2(H(y) - H(j)) + j**-8 h'(j); with h(t) = sum_r c_r t**(r-n-1)
+        # binomially in t, sum_j j**-2 E_j is a sum of Hurwitz-zeta tails
+        start = np.maximum(live + 1, 4)
+        active = start <= n_terms
         if np.any(active):
             ys = y[active]
-            st = i_start[active].astype(float)
-            Hy = self._H(ys, ys, m)
-            step = Hy * (_zeta_tail(2, st) - _zeta_tail(2, n_terms + 1.0))
-            # sum_i i**-2 H(i; y) expanded over the power basis of H
-            for j in range(m + 1):
-                s = n + 2 - j
-                coeff = (math.comb(m, j) * (-1.0) ** (m - j) * ys ** (m - j)
-                         / ((n - j) * math.factorial(m)))
-                step = step - coeff * (_zeta_tail(s, st)
-                                       - _zeta_tail(s, n_terms + 1.0))
-            out[active] += 2.0 * step
+            coeff = defaultdict(float)  # power s -> its coefficient in y
+            for r in range(m + 1):
+                c = math.comb(m, r) * (-ys) ** (m - r) / math.factorial(m)
+                coeff[2] += 2.0 * c * ys ** (r - n) / (n - r)
+                coeff[n + 2 - r] -= 2.0 * c / (n - r)
+                coeff[n + 12 - r] += (r - n - 1) * c
+            st = start[active]
+            out[active] += sum(c * (zeta(s, st) - zeta(s, n_terms + 1.0))
+                               for s, c in coeff.items())
         return out
 
     def derivative(self, k: int, y) -> np.ndarray:
@@ -282,17 +258,12 @@ class _ScaledReciprocalTail:
         sign = (-1.0) ** k
         base = math.factorial(k) * y ** (-k - 1.0)
         if self.bump is None:
-            if k <= n:
-                return sign * base
-            # (d/dy)^(n+1) of 1/y
-            return sign * math.factorial(n + 1) * y ** (-n - 2.0)
+            return sign * base
         if k == n:
             return sign * self.bump.f(y) * base
         if k == n + 1:
-            fac_n = math.factorial(n) * y ** (-n - 1.0)
-            fac_n1 = math.factorial(n + 1) * y ** (-n - 2.0)
-            return sign * (self.bump.f(y) * fac_n1
-                           + (-self.bump.fprime(y)) * fac_n)
+            return sign * (self.bump.f(y) * base - self.bump.fprime(y)
+                           * math.factorial(n) * y ** (-n - 1.0))
         signed = (self.bump.f_at_infinity * base
                   + math.factorial(n) / self.bump.C * SQRT_PI_2
                   * self._tail_sum(y, k))
@@ -373,13 +344,20 @@ class Cex1Instance:
                 + float(np.dot(self.atoms, self.atom_probs)))
 
     def value_function(self, degenerate: bool = False) -> DnFunction:
-        """The conjugate as a generic finite-order test function."""
+        """The conjugate as a finite-order test function with every order exact.
+
+        ``nth_derivative`` and the anchor still back the generic quadrature
+        path (``nfold_value``), which cross-checks the closed forms.
+        """
         tail = self.degenerate_conjugate if degenerate else self.conjugate
+
+        def exact(k, y):
+            out = tail.derivative(k, y)
+            return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
+
         n = self.order
-        v1 = float(tail.value(np.array([1.0]))[0])
         return DnFunction.from_nth_derivative(
-            n, lambda t: float(tail.derivative(n, np.array([t]))[0]),
-            anchor=(1.0, v1))
+            n, lambda t: exact(n, t), anchor=(1.0, exact(0, 1.0)), exact=exact)
 
     def check_envelope(self, ys, k: int, tol: float = 1e-9):
         """(-1)^k V^(k) must lie between 1 and 2 times the f == 1 reference."""
@@ -501,11 +479,16 @@ class Cex2Instance:
     delta_hat: float
 
     def expectation(self, fn) -> float:
-        """E[fn(S)] for an fn that maps the payoff array to per-state values."""
-        return float(np.dot(self.probs, fn(np.asarray(self.payoffs))))
+        """E[fn(S)] for an fn that maps the payoff array to per-state values.
+
+        The per-state products are summed exactly rounded, so the result does
+        not depend on the order of the states.
+        """
+        terms = np.multiply(self.probs, fn(np.asarray(self.payoffs)))
+        return math.fsum(terms.tolist())
 
     def mean_payoff(self) -> float:
-        return float(np.dot(self.probs, self.payoffs))
+        return self.expectation(lambda s: s)
 
     def quadratic_form(self, delta: float) -> float:
         """Q(delta) = E[U''(S)(delta S + 1 - delta)**2]."""

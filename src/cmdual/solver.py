@@ -114,10 +114,15 @@ class FiniteMarket:
         return np.vstack(rows), np.concatenate(rhs)
 
     def deflator_vertices(self, tol: float = 1e-9) -> list[np.ndarray]:
-        """Extreme points of the deflator polytope by active-set enumeration."""
+        """Extreme points of the deflator polytope by active-set enumeration.
+
+        Several active sets can solve to the same vertex up to rounding, so
+        solutions equal on a grid of 1e-7 times the largest entry are one
+        vertex, kept in the order first found.
+        """
         A, b = self.deflator_constraints()
         n = A.shape[1]
-        verts: list[np.ndarray] = []
+        found = []
         for idx in combinations(range(A.shape[0]), n):
             sub = A[list(idx)]
             norms = np.linalg.norm(sub, axis=1)
@@ -129,10 +134,13 @@ class FiniteMarket:
                 continue
             y = np.linalg.solve(sub, b[list(idx)])
             if np.all(A @ y <= b + tol):
-                y = np.where(np.abs(y) < tol, 0.0, y)
-                if not any(np.allclose(y, v, atol=1e-8) for v in verts):
-                    verts.append(y)
-        return verts
+                found.append(np.where(np.abs(y) < tol, 0.0, y))
+        if not found:
+            return []
+        ys = np.array(found)
+        grid = 1e-7 * max(1.0, float(np.max(np.abs(ys))))
+        _, first = np.unique(np.round(ys / grid) + 0.0, axis=0, return_index=True)
+        return list(ys[np.sort(first)])
 
     def contains_deflator(self, y, tol: float = 1e-9) -> bool:
         A, b = self.deflator_constraints()

@@ -1,5 +1,6 @@
 """Tests for the analyticity-failure and kinked-value-function constructions."""
 
+import dataclasses
 import math
 import warnings
 
@@ -71,12 +72,24 @@ def test_two_minus_bump_is_not_decreasing():
     assert rep.violation[0] == 1
 
 
+# integer atoms, points within 1e-3 sig of a spike centre on either side,
+# and points between spikes, wide (i <= 3) and narrow alike
+TAIL_POINTS = (0.5, 1.0, 2.5, 4.0, 5.0, 7.3, 17.0, 25.0, 59.0,
+               *(c + d * c**-4.0 for c in (2.0, 4.0, 17.0, 59.0)
+                 for d in (-1e-3, 1e-3)))
+
+
 def test_scaled_tail_matches_spike_quadrature():
+    for n in (2, 3):
+        _check_tail_against_spike_quadrature(n)
+
+
+def _check_tail_against_spike_quadrature(n):
     ab = AnalyticBump(60)
-    tail = _ScaledReciprocalTail(2, ab)
+    tail = _ScaledReciprocalTail(n, ab)
 
     def brute_sum(y, k):
-        m = 2 - 1 - k
+        m = n - 1 - k
         total = 0.0
         for i in range(1, 61):
             sig = i**-4.0
@@ -85,16 +98,33 @@ def test_scaled_tail_matches_spike_quadrature():
                 continue
             pts = [p for p in (i - 14 * sig, i) if y < p < hi]
             val, _ = integrate.quad(
-                lambda t: (t - y) ** m / math.factorial(m) * t**-3.0
+                lambda t: (t - y) ** m / math.factorial(m) * t ** -(n + 1.0)
                 * erfc((t - i) / (math.sqrt(2.0) * sig)),
                 y, hi, points=pts, epsabs=1e-16, epsrel=1e-13, limit=400)
             total += i**-2.0 * val
         return total
 
-    for k in (0, 1):
-        for y in (0.5, 1.0, 2.5, 4.0, 7.3, 25.0):
-            got = float(tail._tail_sum(np.array([y]), k)[0])
-            assert got == pytest.approx(brute_sum(y, k), rel=1e-9, abs=1e-14)
+    got = {k: tail._tail_sum(np.array(TAIL_POINTS), k) for k in range(n)}
+    for k in range(n):
+        for y, g in zip(TAIL_POINTS, got[k]):
+            assert g == pytest.approx(brute_sum(y, k), rel=1e-9, abs=1e-14), (k, y)
+
+
+def test_tail_sum_expands_one_live_spike_per_point(monkeypatch):
+    # every spike but rint(y) is an exact power-tail step: at most one
+    # boundary-layer expansion per point, in one array call
+    tail = _ScaledReciprocalTail(2, AnalyticBump(10**4))
+    calls = []
+    band_term = tail._band_term
+
+    def counted(y, i, m):
+        calls.append(np.size(y))
+        return band_term(y, i, m)
+
+    monkeypatch.setattr(tail, "_band_term", counted)
+    ys = np.concatenate([np.arange(1.0, 10**4 + 1), [3.4, 3.6, 4.5, 9.99]])
+    assert np.all(np.isfinite(tail._tail_sum(ys, 0)))
+    assert len(calls) == 1 and calls[0] <= ys.size
 
 
 def test_degenerate_conjugate_is_reciprocal(small_instance):
@@ -119,8 +149,24 @@ def test_value_function_fast_path_matches_generic_quadrature(small_instance):
 
 
 def test_conjugate_passes_order_check(small_instance):
+    # every order comes from the closed forms: no quadrature, no warning
     W = small_instance.value_function()
-    assert check_cm_order(W, 2, [0.5, 1.0, 4.0]).ok
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        assert check_cm_order(W, 2, [0.5, 1.0, 4.0]).ok
+
+
+def test_value_function_exact_path(small_instance):
+    W = small_instance.value_function()
+    tail = small_instance.conjugate
+    ys = np.array([0.5, 1.0, 4.0, 17.5])
+    for k in range(0, 3):
+        assert isinstance(W.derivative(k, 4.0), float)
+        assert np.array_equal(W.derivative(k, ys), tail.derivative(k, ys))
+    # V ~ f_inf / y: the value at 1e8 is no limit, W(inf) = 0 is
+    assert W.value(1e8) * 1e8 == pytest.approx(
+        small_instance.bump.f_at_infinity, rel=1e-6)
+    assert W.value_at_infinity() == 0.0
 
 
 def test_envelope_holds_at_random_points(small_instance):
@@ -257,6 +303,16 @@ def test_cex2_envelope_integrable(market60):
     b = dominating_sum(cex2_build(n_states=90))
     assert math.isfinite(a) and math.isfinite(b)
     assert abs(a - b) <= 1e-6 * abs(a)
+
+
+def test_cex2_quotients_do_not_depend_on_state_order(market60):
+    reversed_states = dataclasses.replace(
+        market60, probs=market60.probs[::-1], payoffs=market60.payoffs[::-1])
+    a = cex2_gap(market60)
+    b = cex2_gap(reversed_states)
+    assert (a.d_plus, a.d_minus) == (b.d_plus, b.d_minus)
+    assert (a.q_at_hat, a.q_constrained, a.margin) == (
+        b.q_at_hat, b.q_constrained, b.margin)
 
 
 def test_cex2_rejects_constant_rra():

@@ -385,6 +385,42 @@ def test_random_markets_conditions_agree_when_maximal_exists():
     assert gated >= 5  # the agreement claim must not be vacuous
 
 
+def _allclose_vertices(fm, tol=1e-9):
+    # the pairwise allclose deduplication the rounded one replaced
+    from itertools import combinations
+
+    A, b = fm.deflator_constraints()
+    verts = []
+    for idx in combinations(range(A.shape[0]), A.shape[1]):
+        sub = A[list(idx)]
+        norms = np.linalg.norm(sub, axis=1)
+        if np.any(norms < 1e-14) or abs(
+                np.linalg.det(sub / norms[:, None])) < 1e-10:
+            continue
+        y = np.linalg.solve(sub, b[list(idx)])
+        if np.all(A @ y <= b + tol):
+            y = np.where(np.abs(y) < tol, 0.0, y)
+            if not any(np.allclose(y, v, atol=1e-8) for v in verts):
+                verts.append(y)
+    return verts
+
+
+def test_vertex_deduplication_matches_pairwise_allclose():
+    rng = np.random.default_rng(11)
+    markets = [FiniteMarket((0.4, 0.3, 0.3), (2.0, 0.5, 0.5), 1.0),
+               FiniteMarket((0.25,) * 4, (2.0, 1.0, 0.5, 0.5), 1.0)]
+    while len(markets) < 60:
+        k = int(rng.integers(2, 7))
+        payoffs = np.round(rng.uniform(0.2, 2.5, size=k), 3)
+        if payoffs.min() < 1.0 < payoffs.max():
+            markets.append(FiniteMarket(tuple(rng.dirichlet(np.ones(k))),
+                                        tuple(payoffs), 1.0))
+    for fm in markets:
+        got, want = fm.deflator_vertices(), _allclose_vertices(fm)
+        assert len(got) == len(want), fm
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), fm
+
+
 def test_edge_interior_maximal_element_supplied():
     # with two states sharing the payoff the market is complete over the
     # sigma-algebra of the stock; the flat martingale density is maximal but
