@@ -19,13 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from .counterexamples import (
-    Cex1Instance,
-    cex1_divergence,
-    cex1_verify_finite,
-    cex2_build,
-    cex2_gap,
-)
 from .dominance import Distribution, dominates_inf, dominates_n, test_function_audit
 from .duality import UtilitySpec, footnote_utility
 from .errors import CmdualError
@@ -184,6 +177,8 @@ def _run_invert(cfg: RunConfig) -> int:
 
 
 def _run_cex1(cfg: RunConfig) -> int:
+    from .counterexamples import Cex1Instance, cex1_divergence, cex1_verify_finite
+
     inst = Cex1Instance(order=int(cfg.order), n_trunc=max(cfg.truncations))
     finite = {
         str(k): v for k, v in
@@ -202,6 +197,8 @@ def _run_cex1(cfg: RunConfig) -> int:
 
 
 def _run_cex2(cfg: RunConfig) -> int:
+    from .counterexamples import cex2_build, cex2_gap
+
     utility = (UtilitySpec.from_dict(cfg.inputs["utility"])
                if "utility" in cfg.inputs else footnote_utility(1))
     inst = cex2_build(utility, cfg.n_states)

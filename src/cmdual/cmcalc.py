@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 from scipy.special import binom, factorial
 
 from .errors import (
@@ -230,6 +229,7 @@ class DnFunction:
         if self.order == math.inf:
             return (-1.0) ** k * laplace_moment(self.measure, y, k - 1)
         n = int(self.order)
+        from scipy import integrate
 
         def one(s):
             if k == n:
@@ -261,6 +261,7 @@ class DnFunction:
             # the closed-form families (exponential mixtures, the cex1
             # conjugate ~ f_inf / y) vanish at infinity
             return 0.0
+        from scipy import integrate
         y0, w0 = self.anchor
         tail, _ = integrate.quad(lambda s: -self.derivative(1, s), y0, math.inf,
                                  epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
@@ -282,6 +283,7 @@ def nfold_value(W: DnFunction, y: float) -> float:
     """
     if W.order == math.inf:
         return W.value(y)
+    from scipy import integrate
     n = int(W.order)
     y0, w0 = W.anchor
     _tail_probe(W, y, n)

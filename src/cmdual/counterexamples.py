@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, optimize
 from scipy.special import erf, erfc, polygamma, zeta
 
 from .cmcalc import DnFunction
@@ -182,6 +181,7 @@ class _ScaledReciprocalTail:
         hi = i + 13.0 * sig
         if y >= hi:
             return 0.0
+        from scipy import integrate
         fm, width = math.factorial(m), math.sqrt(2.0) * sig
         val, _ = integrate.quad(
             lambda t: (t - y) ** m * t ** (-self.n - 1) / fm
@@ -249,8 +249,8 @@ class _ScaledReciprocalTail:
                                for s, c in coeff.items())
         return out
 
-    def derivative(self, k: int, y) -> np.ndarray:
-        """(d/dy)^k V at y (vectorized), for 0 <= k <= n + 1."""
+    def derivative(self, k: int, y, f=None) -> np.ndarray:
+        """(d/dy)^k V at y, 0 <= k <= n + 1; ``f`` is bump.f(y) if known."""
         n = self.n
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if k > n + 1 or k < 0:
@@ -259,11 +259,11 @@ class _ScaledReciprocalTail:
         base = math.factorial(k) * y ** (-k - 1.0)
         if self.bump is None:
             return sign * base
-        if k == n:
-            return sign * self.bump.f(y) * base
-        if k == n + 1:
-            return sign * (self.bump.f(y) * base - self.bump.fprime(y)
-                           * math.factorial(n) * y ** (-n - 1.0))
+        if k >= n:
+            top = (self.bump.f(y) if f is None else f) * base
+            if k == n + 1:
+                top = top - self.bump.fprime(y) * math.factorial(n) * y ** (-n - 1.0)
+            return sign * top
         signed = (self.bump.f_at_infinity * base
                   + math.factorial(n) / self.bump.C * SQRT_PI_2
                   * self._tail_sum(y, k))
@@ -335,6 +335,11 @@ class Cex1Instance:
         return _ScaledReciprocalTail(self.order, self.bump)
 
     @cached_property
+    def _f_on_atoms(self) -> np.ndarray:
+        """bump.f on every atom, shared by the order n and n + 1 sums."""
+        return self.bump.f(self.atoms)
+
+    @cached_property
     def degenerate_conjugate(self) -> _ScaledReciprocalTail:
         """The f == 1 reference whose derivatives sandwich the real ones."""
         return _ScaledReciprocalTail(self.order, None)
@@ -396,7 +401,7 @@ def cex1_verify_finite(inst: Cex1Instance, n_trunc: Optional[int] = None,
     p = inst.atom_probs[:n_trunc]
     out = {}
     for k in range(1, n + 1):
-        vk = inst.conjugate.derivative(k, i)
+        vk = inst.conjugate.derivative(k, i, inst._f_on_atoms[:n_trunc])
         head = inst.base_prob * float(
             inst.conjugate.derivative(k, np.array([0.5]))[0]) * 0.5**k
         out[k] = head + float(np.dot(p, vk * i**k))
@@ -439,8 +444,8 @@ def cex1_divergence(inst: Cex1Instance, truncations=(10**3, 10**4, 10**5, 10**6)
     n = inst.order
     i = inst.atoms
     p = inst.atom_probs
-    terms = p * ((-1.0) ** (n + 1)
-                 * inst.conjugate.derivative(n + 1, i)) * i ** (n + 1)
+    terms = p * ((-1.0) ** (n + 1) * inst.conjugate.derivative(
+        n + 1, i, inst._f_on_atoms)) * i ** (n + 1)
     csum = np.cumsum(terms)
     sums = [float(csum[t - 1]) for t in truncations]
     harmonic = np.cumsum(1.0 / i)
@@ -555,6 +560,7 @@ def _inner_max(inst: Cex2Instance, x: float) -> tuple[float, float]:
     the objective still rises there (at x = 1 one share is optimal by
     construction and the slope cancels).
     """
+    from scipy import optimize
     lo, hi = -x * (1.0 - 1e-13), x
     res = optimize.minimize_scalar(
         lambda d: -inst.expectation(lambda s: inst.utility.value(x + d * (s - 1))),

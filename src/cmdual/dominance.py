@@ -16,7 +16,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyroots, polyval
-from scipy import integrate
 from scipy.special import log_ndtr, ndtr, ndtri, roots_hermite
 
 from .cmcalc import DnFunction
@@ -443,6 +442,7 @@ def expectation_vs_iterated(d: Distribution, W: DnFunction,
     valid for W of order n bounded below.  Returns (lhs, rhs, |gap|) and the
     contract |gap| <= 1e-6 * (1 + |lhs|) is asserted by the caller's tests.
     """
+    from scipy import integrate
     if n is None:
         if W.order == math.inf:
             raise ValueError("pass n explicitly for infinite-order W")

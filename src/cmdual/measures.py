@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import exp1, gammainc, gammaincc, gammaln
 
 from .errors import InvalidMeasure, NonIntegrable
@@ -182,6 +181,7 @@ def _power_exp_integral(p: float, s, lo: float, hi: float):
                         _power_exp_integral(p, np.where(zero, 1.0, s), lo, hi))
     if p <= -1.0:
         # no incomplete-gamma form with q > 0: one quadrature per rate
+        from scipy import integrate
         return np.vectorize(lambda r: integrate.quad(
             lambda z: z**p * math.exp(-r * z), lo, hi, epsabs=_QUAD_TOL,
             epsrel=_QUAD_TOL, limit=200)[0], otypes=[float])(s)

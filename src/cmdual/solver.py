@@ -19,7 +19,6 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, optimize
 from scipy.special import gammaln
 
 from .dominance import Discrete, Distribution, Lognormal, dominates_inf, dominates_n
@@ -146,21 +145,16 @@ class FiniteMarket:
         A, b = self.deflator_constraints()
         return bool(np.all(A @ np.asarray(y, dtype=float) <= b + tol))
 
-    def has_positive_deflator(self, tol: float = 1e-11) -> bool:
-        """Maximize min_i y_i over the polytope; positivity means > 0."""
-        A, b = self.deflator_constraints()
-        n = A.shape[1]
-        # variables (y, t): maximize t subject to A y <= b, y_i - t >= 0
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        A_ub = np.hstack([A, np.zeros((A.shape[0], 1))])
-        extra = np.hstack([-np.eye(n), np.ones((n, 1))])
-        A_ub = np.vstack([A_ub, extra])
-        b_ub = np.concatenate([b, np.zeros(n)])
-        res = optimize.linprog(c, A_ub=A_ub, b_ub=b_ub,
-                               bounds=[(None, None)] * n + [(None, None)],
-                               method="highs")
-        return bool(res.success and -res.fun > tol)
+    def has_positive_deflator(self, vertices=None) -> bool:
+        """Some deflator is strictly positive in every state.
+
+        The polytope is bounded, so the mean of its vertices lies in its
+        relative interior: a positive deflator exists iff that mean is
+        positive.  ``vertices`` are those of ``deflator_vertices()``.
+        """
+        if vertices is None:
+            vertices = self.deflator_vertices()
+        return bool(np.all(np.mean(vertices, axis=0) > 0.0))
 
     def to_dict(self):
         return {"probs": list(self.probs), "payoffs": list(self.payoffs),
@@ -422,6 +416,7 @@ class ValueFunctionPair:
             raise ValueError("n must be >= 2")
         if z == 0.0:
             return 0.0
+        from scipy import integrate
 
         log_norm = gammaln(n + 1)
 
@@ -516,9 +511,9 @@ def sd_equivalence_audit(fm: FiniteMarket, candidate=None) -> EquivalenceReport:
     """
     if len(fm.probs) > 10:
         raise ValueError("audit is intended for <= 10 states")
-    if not fm.has_positive_deflator():
-        raise PolytopeEmpty("no strictly positive deflator exists")
     vertices = fm.deflator_vertices()
+    if not fm.has_positive_deflator(vertices):
+        raise PolytopeEmpty("no strictly positive deflator exists")
     probs = np.asarray(fm.probs)
     candidates = [np.asarray(candidate, dtype=float)] if candidate is not None \
         else vertices

@@ -193,12 +193,64 @@ def test_output_file(files, tmp_path, capsys):
     assert json.loads(target.read_text())["verdict"] == "dominates"
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    code = "import sys, cmdual.cli; print('scipy.stats' in sys.modules)"
+HEAVY_MODULES = ("scipy.stats", "scipy.integrate", "scipy.optimize",
+                 "cmdual.counterexamples")
+
+
+def loaded_after(argv=None):
+    """Which of HEAVY_MODULES a fresh interpreter holds after importing
+    cmdual.cli and, given ``argv``, running that command."""
+    code = ("import contextlib, io, json, sys\n"
+            "from cmdual.cli import main\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "if argv is not None:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) in (0, 1)\n"
+            f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))")
     env = dict(os.environ, PYTHONPATH=str(Path(cmdual.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                         capture_output=True, text=True, check=True, env=env).stdout
+    return set(json.loads(out))
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # nor integrate, optimize or the counterexamples: they load on first use
+    assert loaded_after() == set()
+
+
+@pytest.fixture
+def discrete_inputs(tmp_path):
+    F = write(tmp_path, "F.json", {"kind": "discrete", "x": [1.0, 2.0, 3.0],
+                                   "p": [0.2, 0.5, 0.3]})
+    G = write(tmp_path, "G.json", {"kind": "discrete", "x": [0.5, 1.5, 2.5],
+                                   "p": [0.2, 0.5, 0.3]})
+    deflator = write(tmp_path, "deflator.json", {"deflator": {
+        "kind": "discrete", "x": [0.8, 1.0, 1.3], "p": [0.3, 0.4, 0.3]}})
+    mixture = write(tmp_path, "mixture.json", {
+        "kind": "finite_order", "n": 4,
+        "mixture": {"z": [1.0, 2.0], "c": [1.0, 0.5]}})
+    market = write(tmp_path, "market.json", {
+        "probs": [0.3, 0.3, 0.2, 0.2], "payoffs": [0.5, 0.8, 1.5, 2.0]})
+    return {"F": F, "G": G, "deflator": deflator, "mixture": mixture,
+            "log": write(tmp_path, "log.json", {"kind": "log"}),
+            "market": market}
+
+
+@pytest.mark.parametrize("argv", [
+    ["dominance", "F", "G", "--order", "2"],
+    ["dominance", "F", "G", "--order", "inf"],
+    ["audit", "F", "G"],
+    ["solve", "--utility", "log", "--model", "deflator"],
+    ["solve", "--utility", "mixture", "--model", "deflator"],
+], ids=["dominance-2", "dominance-inf", "audit", "solve-log", "solve-mixture"])
+def test_discrete_commands_load_no_quadrature(discrete_inputs, argv):
+    argv = [discrete_inputs.get(a, a) for a in argv]
+    assert loaded_after(argv) == set()
+
+
+def test_sd_equiv_loads_no_optimizer(discrete_inputs):
+    assert "scipy.optimize" not in loaded_after(
+        ["sd-equiv", "--market", discrete_inputs["market"]])
 
 
 def test_wide_lognormal_solve_never_crashes(tmp_path, capsys):

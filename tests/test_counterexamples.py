@@ -127,6 +127,31 @@ def test_tail_sum_expands_one_live_spike_per_point(monkeypatch):
     assert len(calls) == 1 and calls[0] <= ys.size
 
 
+def test_bump_factor_runs_once_on_the_atoms(monkeypatch):
+    # orders n (finite sums) and n + 1 (divergent sums) share f on the atoms
+    inst = Cex1Instance(order=2, n_trunc=10**3)
+    sizes = []
+    running_integral = AnalyticBump.running_integral
+
+    def counted(self, y):
+        sizes.append(np.size(y))
+        return running_integral(self, y)
+
+    monkeypatch.setattr(AnalyticBump, "running_integral", counted)
+    finite = cex1_verify_finite(inst)
+    report = cex1_divergence(inst, (10**2, 10**3))
+    assert sizes.count(inst.n_trunc) == 1
+    # the shared values are exactly those of a fresh evaluation
+    i, n = inst.atoms, inst.order
+    assert np.array_equal(inst.conjugate.derivative(n + 1, i),
+                          inst.conjugate.derivative(n + 1, i, inst._f_on_atoms))
+    head = inst.base_prob * float(
+        inst.conjugate.derivative(n, np.array([0.5]))[0]) * 0.5**n
+    fresh = float(np.dot(inst.atom_probs, inst.conjugate.derivative(n, i) * i**n))
+    assert finite[n] == head + fresh
+    assert report.diverges
+
+
 def test_degenerate_conjugate_is_reciprocal(small_instance):
     ref = small_instance.degenerate_conjugate
     ys = np.array([0.3, 1.0, 5.0])

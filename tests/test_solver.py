@@ -367,6 +367,61 @@ def test_polytope_empty_for_arbitrage_market():
         sd_equivalence_audit(fm)
 
 
+def test_polytope_empty_when_a_payoff_equals_s0():
+    # the stock never loses and gains in one state: every deflator vanishes
+    # there, while the zero deflator keeps the polytope non-empty
+    fm = FiniteMarket((0.5, 0.5), (1.0, 1.5), 1.0)
+    assert fm.deflator_vertices()
+    assert not fm.has_positive_deflator()
+    with pytest.raises(PolytopeEmpty):
+        sd_equivalence_audit(fm)
+
+
+def _linprog_has_positive_deflator(fm):
+    # reference: maximize t subject to A y <= b and y_i >= t for every state
+    from scipy.optimize import linprog
+
+    A, b = fm.deflator_constraints()
+    n = A.shape[1]
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    A_ub = np.vstack([np.hstack([A, np.zeros((A.shape[0], 1))]),
+                      np.hstack([-np.eye(n), np.ones((n, 1))])])
+    res = linprog(c, A_ub=A_ub, b_ub=np.concatenate([b, np.zeros(n)]),
+                  bounds=[(None, None)] * (n + 1), method="highs")
+    return bool(res.success and -res.fun > 1e-11)
+
+
+def test_positive_deflator_matches_linprog_reference():
+    # arbitrage markets (every payoff on one side of s0, or on it) included
+    rng = np.random.default_rng(17)
+    markets = [FiniteMarket((0.5, 0.5), (1.0, 1.0), 1.0),
+               FiniteMarket((0.3, 0.7), (0.5, 1.0), 1.0),
+               FiniteMarket((0.2, 0.3, 0.5), (0.0, 1.0, 2.0), 1.0)]
+    for _ in range(150):
+        k = int(rng.integers(2, 7))
+        payoffs = np.round(rng.uniform(0.2, 2.5, size=k), int(rng.integers(1, 4)))
+        markets.append(FiniteMarket(tuple(rng.dirichlet(np.ones(k))),
+                                    tuple(payoffs), 1.0))
+    verdicts = [fm.has_positive_deflator() for fm in markets]
+    assert verdicts == [_linprog_has_positive_deflator(fm) for fm in markets]
+    assert 10 <= sum(verdicts) <= len(markets) - 10  # both answers occur
+
+
+def test_audit_enumerates_vertices_once(monkeypatch):
+    calls = []
+    enumerate_vertices = FiniteMarket.deflator_vertices
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return enumerate_vertices(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteMarket, "deflator_vertices", counted)
+    sd_equivalence_audit(FiniteMarket((0.3, 0.3, 0.2, 0.2),
+                                      (0.5, 0.8, 1.5, 2.0), 1.0))
+    assert len(calls) == 1
+
+
 def test_random_markets_conditions_agree_when_maximal_exists():
     rng = np.random.default_rng(5)
     done = gated = 0
