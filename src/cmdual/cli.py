@@ -47,11 +47,18 @@ class RunConfig:
 
     def __post_init__(self):
         cap = MAX_INVERT_ORDER if self.subcommand == "invert" else MAX_ORDER
+        if self.order == math.inf and self.subcommand not in ("dominance", "audit"):
+            raise ValueError("order inf applies to dominance and audit only")
         if self.order != math.inf and not (1 <= self.order <= cap):
             raise ValueError(f"order must lie in 1..{cap}")
         a, b, steps = self.grid
+        if not all(map(math.isfinite, (self.x, self.z, a, b, *self.eps,
+                                       *(self.candidate or ())))):
+            raise ValueError("x, z, grid ends, eps and candidate must be finite")
         if not (a < b and steps >= 2):
             raise ValueError("grid must satisfy a < b and steps >= 2")
+        if self.family_size < 1:
+            raise ValueError("family size must be >= 1")
         if self.out not in ("json", "csv"):
             raise ValueError("out must be json or csv")
         if any(e <= 0 for e in self.eps):
@@ -307,13 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    inputs = {}
-    for key in ("F", "G"):
-        if getattr(args, key, None):
-            inputs[key] = _load_json(getattr(args, key))
-    for key in ("utility", "model", "market"):
-        if getattr(args, key, None):
-            inputs[key] = _load_json(getattr(args, key))
+    inputs = {key: _load_json(getattr(args, key))
+              for key in ("F", "G", "utility", "model", "market")
+              if getattr(args, key, None)}
     kw = dict(
         subcommand=args.subcommand,
         inputs=inputs,
@@ -340,9 +343,10 @@ def _config_from_args(args) -> RunConfig:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a JSONDecodeError is a ValueError; int(inf) in --truncations overflows
     try:
         cfg = _config_from_args(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, OverflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     return run(cfg)

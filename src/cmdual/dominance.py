@@ -75,6 +75,7 @@ class Distribution:
         raise NotImplementedError
 
     def expectation(self, fn):
+        """E[fn(xi)]; ``fn`` maps an outcome array to per-outcome values."""
         raise NotImplementedError
 
     def quantile_knots(self, count):
@@ -159,7 +160,7 @@ class Discrete(Distribution):
 
     def expectation(self, fn):
         xs, ps = self._arrays()
-        return float(np.dot(ps, [fn(x) for x in xs]))
+        return float(ps @ fn(xs))
 
     def quantile_knots(self, count=0):
         return np.asarray(self.xs)
@@ -258,8 +259,7 @@ class Lognormal(Distribution):
         return math.exp(self.m + self.s2 / 2.0)
 
     def expectation(self, fn):
-        return float(self.rule(
-            lambda xi: np.array([fn(x) for x in xi])).value)
+        return float(self.rule(fn).value)
 
     def quantile_knots(self, count=33):
         us = np.linspace(1e-6, 1.0 - 1e-6, count)
@@ -427,10 +427,10 @@ class FubiniCheck(NamedTuple):
     gap: float
 
 
-def _value_with_zero_extension(W: DnFunction, x: float) -> float:
-    if x > 0:
-        return W.value(x)
-    return W.value(1e-8) if W.exact is None else W.exact(0, 0.0)
+def _value_with_zero_extension(W: DnFunction, xs: np.ndarray) -> np.ndarray:
+    """W on an outcome array, read at 0 as W(0+)."""
+    vals = W.value(np.where(xs > 0, xs, 1e-8))
+    return vals if W.exact is None else np.where(xs > 0, vals, W.exact(0, 0.0))
 
 
 def expectation_vs_iterated(d: Distribution, W: DnFunction,
@@ -447,7 +447,7 @@ def expectation_vs_iterated(d: Distribution, W: DnFunction,
         if W.order == math.inf:
             raise ValueError("pass n explicitly for infinite-order W")
         n = int(W.order)
-    lhs = d.expectation(lambda x: _value_with_zero_extension(W, x))
+    lhs = d.expectation(lambda xs: _value_with_zero_extension(W, xs))
     w_inf = W.value_at_infinity()
 
     def integrand(t):

@@ -5,9 +5,9 @@ dual value function is the expectation v(y) = E[V(y * Y)], its derivatives
 are expectations of V^(n)(y Y) Y**n, each one call on the outcome array,
 the primal marginal is the inverse of -v', and all higher primal
 derivatives follow from the chain-rule partition sum applied to
-u'' = -1/v''(u').  A measure recovery routine inverts -v' back to its
-representing measure by high-order scaled derivatives, and a finite
-one-period market type supports enumerating the extreme points of its
+u'' = -1/v''(u').  Measure recovery sums the first n dual derivatives at
+n/z, the exact Post-Widder approximant of the measure behind -v', and a
+finite one-period market type supports enumerating the extreme points of its
 supermartingale-deflator set.
 """
 
@@ -19,7 +19,6 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dominance import Discrete, Distribution, Lognormal, dominates_inf, dominates_n
 from .duality import UtilitySpec, invert_decreasing
@@ -399,16 +398,15 @@ class ValueFunctionPair:
     # -- measure recovery -------------------------------------------------------
 
     def widder_invert(self, z: float, n: int) -> float:
-        """n-th scaled-derivative approximant of the measure behind -v'.
+        """n-th Post-Widder approximant of nu((0, z]), nu the measure of -v'.
 
-        With -v'(y) the weighted mass of a measure nu, the classical
-        inversion gives
-
-            nu((0, z]) ~ int_(0,z] (-1)**(n+1) v^(n+1)(n/r) (n/r)**(n+1)/n! dr,
-
-        converging to the half-open/open average at atoms.  The 1/n!
-        normalization is part of the classical formula; the integrand is
-        assembled in log space so large n cannot overflow.
+        The classical approximant integrates (-1)**(n+1) v^(n+1)(n/r)
+        (n/r)**(n+1)/n! over r in (0, z].  Against each e^(-ys) in
+        -v'(y) = int e^(-ys) nu(ds) that integral is the Gamma tail
+        Q(n, ns/z) = e^(-ns/z) sum_{k<n} (ns/z)**k/k!, so the approximant is
+        exactly sum_{k<n} (-1)**(k+1) v^(k+1)(y) y**k/k! at y = n/z, a sum
+        of positive terms built in log space so a tiny z cannot overflow.
+        It converges to the half-open/open average at atoms.
         """
         if z < 0:
             raise ValueError("z must be >= 0")
@@ -416,22 +414,16 @@ class ValueFunctionPair:
             raise ValueError("n must be >= 2")
         if z == 0.0:
             return 0.0
-        from scipy import integrate
-
-        log_norm = gammaln(n + 1)
-
-        def integrand(r):
-            if r <= 0.0:
-                return 0.0
-            val = (-1.0) ** (n + 1) * self.dual_derivative(n + 1, n / r)
-            if val <= 0.0:
-                return 0.0
-            return math.exp(math.log(val) + (n + 1) * (math.log(n) - math.log(r))
-                            - log_norm)
-
-        out, _ = integrate.quad(integrand, 0.0, z, epsabs=1e-11, epsrel=1e-11,
-                                limit=400)
-        return out
+        if n + 1 > self.utility.max_order:
+            raise OrderExceeded("the approximant is defined through v^(n+1)")
+        y = n / z
+        terms = []
+        for k in range(n):
+            val = (-1.0) ** (k + 1) * self.dual_derivative(k + 1, y)
+            if val > 0.0:
+                terms.append(math.exp(math.log(val) + k * math.log(y)
+                                      - math.lgamma(k + 1)))
+        return math.fsum(terms)
 
 
 # -- finite-market equivalence audit ---------------------------------------------

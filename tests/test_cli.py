@@ -242,10 +242,43 @@ def discrete_inputs(tmp_path):
     ["audit", "F", "G"],
     ["solve", "--utility", "log", "--model", "deflator"],
     ["solve", "--utility", "mixture", "--model", "deflator"],
-], ids=["dominance-2", "dominance-inf", "audit", "solve-log", "solve-mixture"])
+    ["invert", "--utility", "log", "--model", "deflator", "--z", "1"],
+], ids=["dominance-2", "dominance-inf", "audit", "solve-log", "solve-mixture",
+        "invert"])
 def test_discrete_commands_load_no_quadrature(discrete_inputs, argv):
     argv = [discrete_inputs.get(a, a) for a in argv]
     assert loaded_after(argv) == set()
+
+
+MODEL = ["--utility", "log", "--model", "deflator"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", *MODEL, "--order", "inf"],
+    ["derivatives", *MODEL, "--order", "inf"],
+    ["invert", *MODEL, "--order", "inf", "--z", "1"],
+    ["cex1", "--order", "inf"],
+    ["invert", *MODEL, "--z", "inf"],
+    ["invert", *MODEL, "--z", "nan"],
+    ["derivatives", *MODEL, "--x", "nan"],
+    ["derivatives", *MODEL, "--x", "inf"],
+    ["solve", *MODEL, "--grid", "0.5:inf:4"],
+    ["cex1", "--truncations", "1000,inf"],
+    ["cex2", "--eps", "1e-2,nan"],
+    ["sd-equiv", "--market", "market", "--candidate", "inf,1,1,1"],
+    ["audit", "F", "G", "--family-size", "0"],
+], ids=["solve-order-inf", "derivatives-order-inf", "invert-order-inf",
+        "cex1-order-inf", "invert-z-inf", "invert-z-nan", "derivatives-x-nan",
+        "derivatives-x-inf", "solve-grid-inf", "cex1-truncation-inf",
+        "cex2-eps-nan", "sd-equiv-candidate-inf", "audit-family-size-0"])
+def test_invalid_options_are_input_errors(discrete_inputs, argv, capsys):
+    argv = [discrete_inputs.get(a, a) for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_sd_equiv_loads_no_optimizer(discrete_inputs):

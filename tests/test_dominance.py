@@ -172,6 +172,18 @@ def test_fubini_identity_quadrature_backed():
     assert chk.gap <= 1e-6 * (1 + abs(chk.lhs))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_fubini_identity_lognormal(n):
+    chk = expectation_vs_iterated(Lognormal(-0.125, 0.25),
+                                  DnFunction.exponential(1.0, order=n))
+    assert chk.gap <= 1e-6 * (1 + abs(chk.lhs))
+
+
+def test_lognormal_expectation_takes_the_outcome_array():
+    law = Lognormal(-0.125, 0.25)
+    assert law.expectation(lambda y: y) == pytest.approx(law.mean(), rel=1e-12)
+
+
 def test_audit_passes_on_dominant_pairs():
     assert function_audit(DELTA2, DELTA1, math.inf, family_size=50)
     rep = function_audit(DELTA1, UNIF02, 2, family_size=50)

@@ -239,7 +239,7 @@ def test_widder_atom_reference():
     # classical approximant has the closed form Q(n, n*a/z) here
     from scipy.special import gammaincc
     for n, got in zip((4, 8, 16), above):
-        assert got == pytest.approx(float(gammaincc(n, n / 2.0)), rel=1e-8)
+        assert got == pytest.approx(float(gammaincc(n, n / 2.0)), rel=1e-12)
 
 
 def test_widder_half_mass_at_atom_location():
@@ -253,7 +253,37 @@ def test_widder_half_mass_at_atom_location():
     assert vals[0] < vals[1] < vals[2] < 0.5
     assert vals[2] == pytest.approx(0.5, abs=0.04)
     for n, got in zip((4, 8, 16), vals):
-        assert got == pytest.approx(float(gammaincc(n, n)), rel=1e-8)
+        assert got == pytest.approx(float(gammaincc(n, n)), rel=1e-12)
+
+
+def test_widder_needs_no_derivative_beyond_order_n():
+    # only v^(1..n) at n/z enter; v^(n+1) over all of [n/z, inf) overflows
+    # on the far nodes of this law
+    wide = MarketModel.lognormal(4.0)
+    assert ValueFunctionPair(LOG, wide).widder_invert(0.5, 16) == pytest.approx(
+        0.5, rel=1e-12)
+    # p = -1/2: -v'(y) = E[Y**(1/3)] y**(-a), a = 2/3 and
+    # E[Y**(1/3)] = exp(-kappa/9), so nu has density
+    # E[Y**(1/3)] s**(a-1)/Gamma(a), and int Q(n, t) t**(a-1) dt equals
+    # Gamma(n+a)/(a Gamma(n))
+    a, n, z = 2.0 / 3.0, 16, 1.0
+    closed = math.exp(-4.0 / 9.0 + a * math.log(z / n) + math.lgamma(n + a)
+                      - math.lgamma(a + 1.0) - math.lgamma(n))
+    assert ValueFunctionPair(PowerUtility(-0.5), wide).widder_invert(
+        z, n) == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("z", [0.1, 0.5, 1.0])
+def test_widder_footnote_wide_lognormal(z):
+    # -V'(y) = 1/(y(y+1)) has measure (1 - e^-s) ds, so -v' has
+    # nu(ds) = E[1 - e^(-s/Y)] ds; with int Q(n, as) e^(-bs) ds =
+    # (1 - (a/(a+b))**n)/b the approximant is, per node Y,
+    # z - Y (1 - (1 + z/(n Y))**-n)
+    n = 16
+    pair = ValueFunctionPair(footnote_utility(1), MarketModel.lognormal(4.0))
+    Y, w = pair._outcomes, pair._weights
+    oracle = float(w @ (z - Y * -np.expm1(-n * np.log1p(z / (n * Y)))))
+    assert pair.widder_invert(z, n) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_audit_handles_extreme_probabilities():
@@ -316,6 +346,15 @@ def test_widder_rejects_negative_interval():
         pair.widder_invert(-1.0, 4)
     with pytest.raises(ValueError):
         pair.widder_invert(1.0, 1)
+    # the approximant is defined through v^(n+1), one order beyond what
+    # a finite-order conjugate of order n offers
+    from cmdual.cmcalc import DnFunction
+    from cmdual.duality import FiniteOrderUtility
+
+    finite = FiniteOrderUtility(
+        DnFunction.exponential_mixture([1.0, 2.0], [1.0, 0.5], order=4))
+    with pytest.raises(OrderExceeded):
+        ValueFunctionPair(finite, DEGENERATE).widder_invert(1.0, 4)
 
 
 def test_partition_order_cap():
