@@ -50,6 +50,7 @@ COMMANDS = {
     "invert": ["invert", "--utility", "log", "--model", "kappa", "--z", "1"],
     "sd-equiv": ["sd-equiv", "--market", "market"],
     "cex1.small": ["cex1", "--truncations", "1000,10000"],
+    "cex1.default": ["cex1"],
     "cex2": ["cex2"],
 }
 

@@ -11,6 +11,7 @@ finding there and exits 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -187,10 +188,7 @@ def _run_cex1(cfg: RunConfig) -> int:
     from .counterexamples import Cex1Instance, cex1_divergence, cex1_verify_finite
 
     inst = Cex1Instance(order=int(cfg.order), n_trunc=max(cfg.truncations))
-    finite = {
-        str(k): v for k, v in
-        cex1_verify_finite(inst, min(max(cfg.truncations), inst.n_trunc)).items()
-    }
+    finite = {str(k): v for k, v in cex1_verify_finite(inst).items()}
     report = cex1_divergence(inst, cfg.truncations)
     payload = report.to_dict()
     payload["finite_orders_at_1"] = finite
@@ -250,7 +248,9 @@ def run(cfg: RunConfig) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="cmdual",
         description="Completely monotone calculus, dominance tests, and "

@@ -46,6 +46,33 @@ SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 ZETA2 = float(polygamma(1, 1))
 # erf(1/sqrt(2)): left half-mass of the widest bump term
 _ERF_HALF = float(erf(1.0 / math.sqrt(2.0)))
+# integers per block of _power_tail
+_BLOCK = 256
+
+
+def _power_tail(s, start, stop: int):
+    """sum_{j=start}^{stop} j**-s for integer starts >= 1; 0 where start > stop.
+
+    The integers from the lowest to the highest start are split into blocks
+    of _BLOCK ending at stop, stop - _BLOCK, ...  Each block is summed from
+    the top down with one cumsum and sits on the exact Hurwitz-zeta tail
+    above it, so a start costs no special function, and no anchor is a
+    difference of two zeta values fewer than _BLOCK terms apart.
+    """
+    start = np.asarray(start, dtype=float)
+    out = np.zeros(start.shape)
+    live = start <= stop
+    if not np.any(live):
+        return out
+    a = start[live].astype(np.int64)
+    k_top, k_bottom = (stop - a.max()) // _BLOCK, (stop - a.min()) // _BLOCK
+    j_top = stop - k_top * _BLOCK
+    j = j_top - np.arange((k_bottom - k_top + 1) * _BLOCK, dtype=float)
+    within = np.cumsum(np.maximum(j, 1.0).reshape(-1, _BLOCK) ** -s, axis=1)
+    above = stop + 1.0 - _BLOCK * np.arange(k_top, k_bottom + 1, dtype=float)
+    anchor = zeta(s, above) - zeta(s, stop + 1.0)
+    out[live] = (within + anchor[:, None]).ravel()[j_top - a]
+    return out
 
 
 @dataclass(frozen=True)
@@ -112,9 +139,11 @@ class AnalyticBump:
         full_top = np.minimum(full_top, self.n_terms)
         has_full = full_top >= 4
         if np.any(has_full):
+            # sum_{j=4}^{top} j**-2, as the sum to N less its tail past top
+            head = float(polygamma(1, 4) - polygamma(1, self.n_terms + 1))
             top = full_top[has_full].astype(float)
-            total[has_full] += 2.0 * (float(polygamma(1, 4))
-                                      - polygamma(1, top + 1.0))
+            total[has_full] += 2.0 * (
+                head - _power_tail(2, top + 1.0, self.n_terms))
         if np.any(near):
             j = jr[near].astype(float)
             sig = j**-4.0
@@ -148,7 +177,7 @@ class _ScaledReciprocalTail:
     exactly 0 or 2 in double precision.  So only the live spike rint(y)
     gets the Gaussian-moment expansion; every spike below it vanishes, and
     every spike above it is the exact step 2(H(y) - H(j)) + sig_j**2 h'(j),
-    a power series in j summed over [rint(y)+1, N] by Hurwitz-zeta tails.
+    a power series in j summed over [rint(y)+1, N] by anchored block sums.
     The three wide low-index spikes are integrated numerically.  All parts
     are vectorized over y, so a million evaluations cost a few array ops.
     """
@@ -233,7 +262,7 @@ class _ScaledReciprocalTail:
 
         # every spike j > rint(y) has erfc == 2 and gauss == 0 exactly, so
         # E_j = 2(H(y) - H(j)) + j**-8 h'(j); with h(t) = sum_r c_r t**(r-n-1)
-        # binomially in t, sum_j j**-2 E_j is a sum of Hurwitz-zeta tails
+        # binomially in t, sum_j j**-2 E_j is a sum of power tails
         start = np.maximum(live + 1, 4)
         active = start <= n_terms
         if np.any(active):
@@ -245,7 +274,7 @@ class _ScaledReciprocalTail:
                 coeff[n + 2 - r] -= 2.0 * c / (n - r)
                 coeff[n + 12 - r] += (r - n - 1) * c
             st = start[active]
-            out[active] += sum(c * (zeta(s, st) - zeta(s, n_terms + 1.0))
+            out[active] += sum(c * _power_tail(s, st, n_terms)
                                for s, c in coeff.items())
         return out
 
@@ -434,9 +463,12 @@ def cex1_divergence(inst: Cex1Instance, truncations=(10**3, 10**4, 10**5, 10**6)
     near-constant amount per decade: the spike heights make
     -f'(i) q_i ~ i**-1 / C, so the harmonic oracle predicts an increment
     eps n! / (s0 C) * sum 1/i over each decade.  ``diverges`` is true when
-    every increment is positive and within ``band`` of the oracle.
+    every increment is positive and within ``band`` of the oracle; it takes
+    at least two increasing truncations, the first at least 1.
     """
     truncations = tuple(int(t) for t in truncations)
+    if len(truncations) < 2 or truncations[0] < 1:
+        raise ValueError("need at least two truncations, the first >= 1")
     if any(b <= a for a, b in zip(truncations, truncations[1:])):
         raise ValueError("truncations must increase")
     if truncations[-1] > inst.n_trunc:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cmdual
-from cmdual.cli import main
+from cmdual.cli import _build_parser, main
 from cmdual.duality import footnote_utility
 
 
@@ -264,12 +264,15 @@ MODEL = ["--utility", "log", "--model", "deflator"]
     ["derivatives", *MODEL, "--x", "inf"],
     ["solve", *MODEL, "--grid", "0.5:inf:4"],
     ["cex1", "--truncations", "1000,inf"],
+    ["cex1", "--truncations", "0,1000,10000"],
+    ["cex1", "--truncations", "10000"],
     ["cex2", "--eps", "1e-2,nan"],
     ["sd-equiv", "--market", "market", "--candidate", "inf,1,1,1"],
     ["audit", "F", "G", "--family-size", "0"],
 ], ids=["solve-order-inf", "derivatives-order-inf", "invert-order-inf",
         "cex1-order-inf", "invert-z-inf", "invert-z-nan", "derivatives-x-nan",
         "derivatives-x-inf", "solve-grid-inf", "cex1-truncation-inf",
+        "cex1-truncation-zero", "cex1-single-truncation",
         "cex2-eps-nan", "sd-equiv-candidate-inf", "audit-family-size-0"])
 def test_invalid_options_are_input_errors(discrete_inputs, argv, capsys):
     argv = [discrete_inputs.get(a, a) for a in argv]
@@ -279,6 +282,21 @@ def test_invalid_options_are_input_errors(discrete_inputs, argv, capsys):
     assert code == 2
     assert capsys.readouterr().out == ""
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_parser_is_built_once_and_reused(discrete_inputs, capsys):
+    assert _build_parser() is _build_parser()
+    argv = ["dominance", discrete_inputs["F"], discrete_inputs["G"],
+            "--order", "2"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    # an argparse error on the shared parser leaves nothing behind
+    with pytest.raises(SystemExit) as exc:
+        main(["dominance", discrete_inputs["F"], "--order", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first != ""
 
 
 def test_sd_equiv_loads_no_optimizer(discrete_inputs):

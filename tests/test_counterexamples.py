@@ -4,15 +4,18 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, optimize
 from scipy.special import erfc
 
+import cmdual.counterexamples as counterexamples
 from cmdual.cmcalc import check_cm_order, nfold_value
 from cmdual.counterexamples import (
     AnalyticBump,
     Cex1Instance,
+    _power_tail,
     _ScaledReciprocalTail,
     bump_f,
     cex1_divergence,
@@ -150,6 +153,61 @@ def test_bump_factor_runs_once_on_the_atoms(monkeypatch):
     fresh = float(np.dot(inst.atom_probs, inst.conjugate.derivative(n, i) * i**n))
     assert finite[n] == head + fresh
     assert report.diverges
+
+
+def _power_tail_oracle(s, a, N):
+    """sum_{j=a}^{N} j**-s at 90 digits: summed term by term when short, else
+    as a Hurwitz-zeta difference (which then cancels by under 1e4)."""
+    with mpmath.workdps(90):
+        if N - a < 600:
+            return mpmath.fsum(mpmath.mpf(j) ** -s for j in range(a, N + 1))
+        return mpmath.zeta(s, a) - mpmath.zeta(s, N + 1)
+
+
+@pytest.mark.parametrize("N", [10, 1000, 10**4 + 3, 10**6])
+def test_power_tail_matches_high_precision_oracle(N):
+    # both sides of the first block edges and of the top, which must read 0
+    starts = sorted({a for a in (1, 2, 3, 4, 5, 255, 256, 257, 511, 512, 513,
+                                 N - 256, N - 1, N, N + 1) if 1 <= a <= N + 1})
+    for s in (2, 3, 4, 6, 14):
+        got = _power_tail(s, np.array(starts, dtype=float), N)
+        assert got[-1] == 0.0
+        for a, g in zip(starts[:-1], got[:-1]):
+            assert g == pytest.approx(float(_power_tail_oracle(s, a, N)),
+                                      rel=1e-12, abs=0.0), (s, a)
+        # a lone start far below N, as the head point y = 1/2 gives
+        lone = _power_tail(s, 4.0, N)
+        assert lone.shape == ()
+        assert float(lone) == pytest.approx(float(_power_tail_oracle(s, 4, N)),
+                                            rel=1e-12, abs=0.0)
+
+
+def test_cex1_calls_no_special_function_per_atom(monkeypatch):
+    # the power tails read the atoms off blocks of 256: every zeta or
+    # polygamma call takes at most one anchor per block
+    sizes = []
+
+    def counted(fn):
+        def wrapper(*args):
+            sizes.append(max(np.size(a) for a in args))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(counterexamples, "zeta", counted(counterexamples.zeta))
+    monkeypatch.setattr(counterexamples, "polygamma",
+                        counted(counterexamples.polygamma))
+    inst = Cex1Instance(order=2, n_trunc=10**4)
+    cex1_verify_finite(inst)
+    assert cex1_divergence(inst, (10**3, 10**4)).diverges
+    assert sizes and max(sizes) <= inst.n_trunc / 256 + 2
+
+
+@pytest.mark.parametrize("truncations", [(0, 10**3), (-5, 10**3), (10**3,), ()],
+                         ids=["zero", "negative", "single", "empty"])
+def test_divergence_rejects_bad_truncations(truncations):
+    inst = Cex1Instance(order=2, n_trunc=10**3)
+    with pytest.raises(ValueError):
+        cex1_divergence(inst, truncations)
 
 
 def test_degenerate_conjugate_is_reciprocal(small_instance):
