@@ -37,6 +37,9 @@ INPUTS = {
     "deflator": {"deflator": {"kind": "discrete", "x": [0.8, 1.0, 1.3],
                               "p": [0.3, 0.4, 0.3]}},
     "market": {"probs": [0.3, 0.3, 0.2, 0.2], "payoffs": [0.5, 0.8, 1.5, 2.0]},
+    # 16 deflator vertices, so 256 candidate-vertex pairs per verdict order
+    "market6": {"probs": [0.2, 0.15, 0.25, 0.1, 0.2, 0.1],
+                "payoffs": [0.5, 0.8, 0.9, 1.5, 2.0, 1.2]},
 }
 
 # name -> argv; an argv entry naming an INPUTS key is replaced by its file
@@ -49,6 +52,7 @@ COMMANDS = {
     "derivatives": ["derivatives", "--utility", "log", "--model", "kappa"],
     "invert": ["invert", "--utility", "log", "--model", "kappa", "--z", "1"],
     "sd-equiv": ["sd-equiv", "--market", "market"],
+    "sd-equiv.6": ["sd-equiv", "--market", "market6"],
     "cex1.small": ["cex1", "--truncations", "1000,10000"],
     "cex1.default": ["cex1"],
     "cex2": ["cex2"],

@@ -185,11 +185,12 @@ def _run_invert(cfg: RunConfig) -> int:
 
 
 def _run_cex1(cfg: RunConfig) -> int:
-    from .counterexamples import Cex1Instance, cex1_divergence, cex1_verify_finite
+    from . import counterexamples as cex
 
-    inst = Cex1Instance(order=int(cfg.order), n_trunc=max(cfg.truncations))
-    finite = {str(k): v for k, v in cex1_verify_finite(inst).items()}
-    report = cex1_divergence(inst, cfg.truncations)
+    truncations = cex.check_truncations(cfg.truncations)  # before any work
+    inst = cex.Cex1Instance(order=int(cfg.order), n_trunc=truncations[-1])
+    finite = {str(k): v for k, v in cex.cex1_verify_finite(inst).items()}
+    report = cex.cex1_divergence(inst, truncations)
     payload = report.to_dict()
     payload["finite_orders_at_1"] = finite
     if cfg.out == "csv":

@@ -35,6 +35,7 @@ __all__ = [
     "bump_f",
     "cex1_verify_finite",
     "cex1_divergence",
+    "check_truncations",
     "cex2_build",
     "cex2_gap",
     "DivergenceReport",
@@ -455,6 +456,16 @@ class DivergenceReport:
         }
 
 
+def check_truncations(truncations) -> tuple[int, ...]:
+    """The truncations as ints: at least two, increasing, the first >= 1."""
+    truncations = tuple(int(t) for t in truncations)
+    if len(truncations) < 2 or truncations[0] < 1:
+        raise ValueError("need at least two truncations, the first >= 1")
+    if any(b <= a for a, b in zip(truncations, truncations[1:])):
+        raise ValueError("truncations must increase")
+    return truncations
+
+
 def cex1_divergence(inst: Cex1Instance, truncations=(10**3, 10**4, 10**5, 10**6),
                     band: float = 0.25) -> DivergenceReport:
     """Partial sums of the order n+1 derivative expectation at y = 1.
@@ -466,11 +477,7 @@ def cex1_divergence(inst: Cex1Instance, truncations=(10**3, 10**4, 10**5, 10**6)
     every increment is positive and within ``band`` of the oracle; it takes
     at least two increasing truncations, the first at least 1.
     """
-    truncations = tuple(int(t) for t in truncations)
-    if len(truncations) < 2 or truncations[0] < 1:
-        raise ValueError("need at least two truncations, the first >= 1")
-    if any(b <= a for a, b in zip(truncations, truncations[1:])):
-        raise ValueError("truncations must increase")
+    truncations = check_truncations(truncations)
     if truncations[-1] > inst.n_trunc:
         raise ValueError("truncation exceeds the instance size")
     n = inst.order

@@ -4,7 +4,9 @@ A law is either a finite discrete distribution or a lognormal; empirical
 samples enter as discrete laws with equal weights.  Order-n dominance
 compares n-fold iterated CDFs pointwise, infinite-order dominance compares
 Laplace transforms on a z-grid, and both verdicts can be cross-examined
-against sampled families of decreasing test functions.
+against sampled families of decreasing test functions.  Both orders are
+decided for a whole rectangle of row and column laws at once, each law
+evaluated once; a single pair is the one-by-one rectangle.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ __all__ = [
     "iterated_cdf",
     "dominates_n",
     "dominates_inf",
+    "discrete_witness_table",
+    "laplace_witness_table",
     "expectation_vs_iterated",
     "test_function_audit",
     "DominanceVerdict",
@@ -39,6 +43,11 @@ REL_TOL = 1e-8
 MIN_NODES, MAX_NODES = 64, 4096
 # Laplace rates compared by dominates_inf and sampled by test_function_audit
 Z_RANGE = (1e-4, 1e4)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -118,6 +127,8 @@ class Discrete(Distribution):
             raise ValueError("support points must be distinct")
         object.__setattr__(self, "xs", tuple(xs))
         object.__setattr__(self, "ps", tuple(ps))
+        # the same values as arrays, converted once for every evaluation
+        object.__setattr__(self, "_xp", (_read_only(xs), _read_only(ps)))
 
     @classmethod
     def from_sample(cls, sample) -> "Discrete":
@@ -129,7 +140,7 @@ class Discrete(Distribution):
         return cls((x,), (1.0,))
 
     def _arrays(self):
-        return np.asarray(self.xs), np.asarray(self.ps)
+        return self._xp
 
     def cdf(self, y):
         xs, ps = self._arrays()
@@ -143,7 +154,7 @@ class Discrete(Distribution):
         if n == 1:
             out = (xs[None, :] <= ys[:, None]) @ ps
         else:
-            gap = np.clip(ys[:, None] - xs[None, :], 0.0, None)
+            gap = np.maximum(ys[:, None] - xs[None, :], 0.0)
             out = gap ** (n - 1) @ ps / math.factorial(n - 1)
         return out
 
@@ -300,125 +311,188 @@ def _tol(a, b):
     return ABS_TOL + REL_TOL * np.maximum(np.abs(a), np.abs(b))
 
 
-def _discrete_pair_violation(F: Discrete, G: Discrete, n: int):
-    """Leftmost point found where G_n - F_n falls below the tie tolerance.
-
-    On each knot interval, d/dy F_m = F_(m-1) makes F_n a polynomial with
-    the exact local expansion F_n(k + t) = sum_(r<n) F_(n-r)(k) t**r / r!,
-    so the knots, the interior minima of each interval and the sign of the
-    highest non-tied coefficient past the last knot decide the verdict.
-    """
-    knots = np.unique(np.concatenate([F.xs, G.xs, [0.0]]))
-    # row r: F_(n-r) and G_(n-r) at every knot
-    f = np.array([F.iterated(n - r, knots) for r in range(n)])
-    g = np.array([G.iterated(n - r, knots) for r in range(n)])
-    fac = np.array([float(math.factorial(r)) for r in range(n)])[:, None]
-    gc, dc = g / fac, (g - f) / fac
-    bad = dc[0] < -_tol(g[0], f[0])
-    if bad.any():
-        return float(knots[np.argmax(bad)])
-    if n >= 3:
-        for j, width in enumerate(np.diff(knots, append=math.inf)):
-            roots = polyroots(polyder(dc[:, j]))
-            ts = np.sort(roots.real[(np.abs(roots.imag) < 1e-12)
-                                    & (roots.real > 0) & (roots.real < width)])
-            dval, gval = polyval(ts, dc[:, j]), polyval(ts, gc[:, j])
-            bad = dval < -_tol(gval, gval - dval)
-            if bad.any():
-                return float(knots[j] + ts[np.argmax(bad)])
-    # past the last knot the highest-degree coefficient that is not a tie
-    # of its own two iterated-CDF values decides the sign
-    last_f, last_g = f[:, -1], g[:, -1]
-    lead = np.flatnonzero(np.abs(last_g - last_f) > _tol(last_g, last_f))
-    if lead.size and dc[lead[-1], -1] < 0:
-        y = knots[-1] + 1.0
-        while polyval(y - knots[-1], dc[:, -1]) >= -ABS_TOL:
-            y *= 2.0
-        return float(y)
-    return None
+def _verdict(witness: float, order: float) -> DominanceVerdict:
+    """One pair's verdict from its witness, NaN where it dominates."""
+    found = not np.isnan(witness)
+    return DominanceVerdict(not found, float(witness) if found else None, order)
 
 
-def _refined_witness(grids, values, slack):
-    """Leftmost grid point where F's values exceed G's by more than slack.
+def _distinct(rows, cols):
+    """The distinct law objects among ``rows`` and ``cols`` in order of first
+    appearance, and the index among them of each row and each column law."""
+    index = {}
+    for law in (*rows, *cols):
+        index.setdefault(id(law), (len(index), law))
+    return ([law for _, law in index.values()],
+            np.array([index[id(law)][0] for law in rows], dtype=int),
+            np.array([index[id(law)][0] for law in cols], dtype=int))
 
-    ``values(grid)`` returns the pair (f, g) on each successively finer grid
-    and ``slack(f, g)`` the tie tolerance.  Refinement stops once the
-    verdict has held across two refinements, or when the grids run out.
-    A non-finite value fails the comparison, so it can never pass as
-    dominance; if it is the leftmost failure, QuadratureFailure is raised
-    instead of a witness.
-    """
-    prev_ok, stable = None, 0
-    for grid in grids:
-        f, g = values(grid)
-        bad = ~(f <= g + slack(f, g))
-        witness = None
+
+def _interior_violation(knots, dc, gc):
+    """Leftmost interior minimum of sum_r dc[r, j] t**r on knot interval j
+    below the tie tolerance (gc: G's coefficients there), NaN if none."""
+    slopes = polyder(dc)  # every interval's derivative, one column each
+    for j, width in enumerate(np.diff(knots, append=math.inf)):
+        roots = polyroots(slopes[:, j])
+        ts = np.sort(roots.real[(np.abs(roots.imag) < 1e-12)
+                                & (roots.real > 0) & (roots.real < width)])
+        dval, gval = polyval(ts, dc[:, j]), polyval(ts, gc[:, j])
+        bad = dval < -_tol(gval, gval - dval)
         if bad.any():
-            i = np.argmax(bad)
-            if not (np.isfinite(f[i]) and np.isfinite(g[i])):
-                raise QuadratureFailure(f"non-finite value at {grid[i]:g}")
-            witness = float(grid[i])
-        ok = witness is None
-        if ok == prev_ok:
-            stable += 1
-            if stable >= 2:
-                break
-        else:
-            stable = 0
-        prev_ok = ok
+            return knots[j] + ts[np.argmax(bad)]
+    return math.nan
+
+
+def discrete_witness_table(rows, cols, n: int) -> np.ndarray:
+    """Leftmost point found where G_n - F_n falls below the tie tolerance,
+    for every row law F and column law G (all Discrete); NaN where F
+    dominates G at order n.
+
+    On each knot interval of a pair, d/dy F_m = F_(m-1) makes F_n a
+    polynomial with the exact local expansion
+    F_n(k + t) = sum_(r<n) F_(n-r)(k) t**r / r!, so the pair's knots (both
+    laws' atoms and 0), the interior minima of its intervals and the sign of
+    the highest non-tied coefficient past its last knot decide the verdict.
+    Each law's iterated CDFs are evaluated once, on the union of all knots;
+    the knot checks run one row of pairs at a time and the tail checks for
+    all pairs at once, each pair masked to its own knots.
+    """
+    laws, ri, ci = _distinct(rows, cols)
+    sizes = [len(law.xs) for law in laws]
+    knots, at = np.unique(np.concatenate([*(law._arrays()[0] for law in laws),
+                                          [0.0]]), return_inverse=True)
+    # tab[l, r]: F_(n-r) of law l at every knot; own[l]: law l's knots
+    tab = np.array([[law.iterated(n - r, knots) for r in range(n)]
+                    for law in laws])
+    own = np.zeros((len(laws), knots.size), dtype=bool)
+    own[np.repeat(np.arange(len(laws)), sizes), at[:-1]] = True
+    own[:, 0] = True  # knot 0, the smallest, belongs to every pair
+    top_knot = at[np.cumsum(sizes) - 1]  # each law's largest atom
+    fac = np.array([float(math.factorial(r)) for r in range(n)])[:, None]
+    g = tab[ci]
+    out = np.empty((ri.size, ci.size))
+    for i, row in enumerate(ri.tolist()):
+        f, mask = tab[row], own[row] | own[ci]
+        dc = (g - f) / fac
+        bad = (dc[:, 0] < -_tol(g[:, 0], f[0])) & mask
+        out[i] = np.where(bad.any(axis=1), knots[bad.argmax(axis=1)], np.nan)
+        if n >= 3:
+            for c in np.flatnonzero(np.isnan(out[i])).tolist():
+                out[i, c] = _interior_violation(
+                    knots[mask[c]], dc[c][:, mask[c]], g[c][:, mask[c]] / fac)
+    # past a pair's last knot the highest-degree coefficient that is not a
+    # tie of its own two iterated-CDF values decides the sign
+    last = np.maximum.outer(top_knot[ri], top_knot[ci])
+    last_f, last_g = tab[ri[:, None], :, last], tab[ci[None, :], :, last]
+    rise = (last_g - last_f).reshape(-1, n)
+    lead = np.abs(rise) > _tol(last_g, last_f).reshape(-1, n)
+    top = n - 1 - lead[:, ::-1].argmax(axis=1)
+    falls = lead.any(axis=1) & (rise[np.arange(top.size), top] < 0)
+    for i, c in zip(*np.nonzero(falls.reshape(out.shape) & np.isnan(out))):
+        end = knots[last[i, c]]
+        coeffs = (tab[ci[c], :, last[i, c]] - tab[ri[i], :, last[i, c]]) / fac[:, 0]
+        y = end + 1.0
+        while polyval(y - end, coeffs) >= -ABS_TOL:
+            y *= 2.0
+        out[i, c] = y
+    return out
+
+
+def _refined_witness(grids, rows, cols, evaluate, slack) -> np.ndarray:
+    """Leftmost grid point where a row law's values exceed a column law's by
+    more than slack, for every row-column pair; NaN where there is none.
+
+    ``evaluate(law, grid)`` gives a law's values on each successively finer
+    grid and ``slack(f, g)`` the tie tolerance.  A pair stops refining once
+    its verdict has held across two refinements, or when the grids run
+    out; each grid evaluates every distinct law that still has an
+    undecided pair once, and compares one row law at a time against the
+    columns it is undecided with.  A non-finite value fails the
+    comparison, so it can never pass as dominance; if it is a pair's
+    leftmost failure, QuadratureFailure is raised instead of a witness.
+    """
+    laws, ri, ci = _distinct(rows, cols)
+    ri, ci = ri.tolist(), ci.tolist()
+    witness = np.full((len(ri), len(ci)), np.nan)
+    # per pair: the verdict at the previous grid, and for how many
+    # refinements it has held; per row: the columns still undecided
+    ok = [[None] * len(ci) for _ in ri]
+    held = [[0] * len(ci) for _ in ri]
+    live = {i: list(range(len(ci))) for i in range(len(ri))}
+    for grid in grids:
+        values = {k: evaluate(laws[k], grid) for k in sorted(
+            {ri[i] for i in live} | {ci[c] for cs in live.values() for c in cs})}
+        blank = np.zeros(grid.size)  # a column law that no live pair reads
+        table = np.array([values.get(k, blank) for k in ci])
+        for i, cs in live.items():
+            f = values[ri[i]]
+            g = table if len(cs) == len(ci) else table[cs]
+            bad = ~(f <= g + slack(f, g))
+            for c, g_c, hit, j in zip(cs, g, bad.any(axis=1).tolist(),
+                                      bad.argmax(axis=1).tolist()):
+                if hit and not (np.isfinite(f[j]) and np.isfinite(g_c[j])):
+                    raise QuadratureFailure(f"non-finite value at {grid[j]:g}")
+                witness[i, c] = grid[j] if hit else np.nan
+                held[i][c] = held[i][c] + 1 if ok[i][c] == (not hit) else 0
+                ok[i][c] = not hit
+        live = {i: kept for i, cs in live.items()
+                if (kept := [c for c in cs if held[i][c] < 2])}
+        if not live:
+            break
     return witness
 
 
-def _grid_violation(F: Distribution, G: Distribution, n: int):
+def _grid_violation(F: Distribution, G: Distribution, n: int) -> float:
     base = np.unique(np.concatenate(
         [F.quantile_knots(65), G.quantile_knots(65), [0.0]]))
     lo = max(np.min(base[base > 0], initial=1e-6) / 2.0, 1e-9)
     hi = float(np.max(base)) * 1.5 + 1.0
     grids = (np.unique(np.concatenate([base, np.geomspace(lo, hi, points)]))
              for points in (129 << i for i in range(5)))
-    return _refined_witness(
-        grids, lambda grid: (F.iterated(n, grid), G.iterated(n, grid)),
-        _tol)
+    return _refined_witness(grids, [F], [G],
+                            lambda law, grid: law.iterated(n, grid), _tol)[0, 0]
 
 
 def dominates_n(F: Distribution, G: Distribution, n: int) -> DominanceVerdict:
     """Does F dominate G at order n, i.e. F_n <= G_n everywhere?
 
-    For discrete pairs with n >= 2 the comparison is exact piecewise
-    polynomial analysis including interior minima; mixed kinds fall back to
-    a refined grid whose verdict must be stable across two refinements.
-    Ties within tolerance count as dominance.
+    For discrete pairs the comparison is exact piecewise polynomial
+    analysis (``discrete_witness_table`` on one pair) including interior
+    minima; mixed kinds fall back to a refined grid whose verdict must be
+    stable across two refinements.  Ties within tolerance count as
+    dominance.
     """
     if n < 1 or n != int(n):
         raise ValueError("n must be an integer >= 1")
     n = int(n)
     if isinstance(F, Discrete) and isinstance(G, Discrete):
-        witness = _discrete_pair_violation(F, G, n)
-    else:
-        witness = _grid_violation(F, G, n)
-    return DominanceVerdict(witness is None, witness, n)
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
+        return _verdict(discrete_witness_table([F], [G], n)[0, 0], n)
+    return _verdict(_grid_violation(F, G, n), n)
 
 
 # the refinement schedule of dominates_inf: 200 log-spaced rates, doubled
 _ZGRIDS = tuple(_read_only(np.geomspace(*Z_RANGE, 200 << i)) for i in range(6))
 
 
+def laplace_witness_table(rows, cols) -> np.ndarray:
+    """Leftmost rate z where E[e^-z xi_F] exceeds E[e^-z xi_G], for every
+    row law F and column law G; NaN where F dominates G at infinite order.
+
+    Compared pointwise on a log-spaced grid over Z_RANGE with relative
+    tolerance 1e-10; each pair's grid is doubled until its verdict is stable
+    across two refinements.
+    """
+    return _refined_witness(
+        _ZGRIDS, rows, cols, lambda law, zs: law.laplace(zs),
+        lambda f, g: 1e-10 * np.maximum(f, g) + 1e-300)
+
+
 def dominates_inf(F: Distribution, G: Distribution) -> DominanceVerdict:
     """Does F dominate G at infinite order: E[e^-z xi_F] <= E[e^-z xi_G] for z > 0?
 
-    Compared pointwise on a log-spaced grid over Z_RANGE with relative
-    tolerance 1e-10; the grid is doubled until the verdict is stable across
-    two refinements.
+    ``laplace_witness_table`` on one pair.
     """
-    witness = _refined_witness(
-        _ZGRIDS, lambda zs: (np.asarray(F.laplace(zs)), np.asarray(G.laplace(zs))),
-        lambda f, g: 1e-10 * np.maximum(f, g) + 1e-300)
-    return DominanceVerdict(witness is None, witness, math.inf)
+    return _verdict(laplace_witness_table([F], [G])[0, 0], math.inf)
 
 
 class FubiniCheck(NamedTuple):

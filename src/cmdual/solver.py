@@ -20,7 +20,13 @@ from typing import Optional
 
 import numpy as np
 
-from .dominance import Discrete, Distribution, Lognormal, dominates_inf, dominates_n
+from .dominance import (
+    Discrete,
+    Distribution,
+    Lognormal,
+    discrete_witness_table,
+    laplace_witness_table,
+)
 from .duality import UtilitySpec, invert_decreasing
 from .errors import (
     DivergentMoment,
@@ -120,22 +126,19 @@ class FiniteMarket:
         """
         A, b = self.deflator_constraints()
         n = A.shape[1]
-        found = []
-        for idx in combinations(range(A.shape[0]), n):
-            sub = A[list(idx)]
-            norms = np.linalg.norm(sub, axis=1)
-            if np.any(norms < 1e-14):
-                continue
-            # scale-invariant regularity test so tiny state probabilities
-            # cannot mask a legitimate active set
-            if abs(np.linalg.det(sub / norms[:, None])) < 1e-10:
-                continue
-            y = np.linalg.solve(sub, b[list(idx)])
-            if np.all(A @ y <= b + tol):
-                found.append(np.where(np.abs(y) < tol, 0.0, y))
-        if not found:
+        idx = np.array(list(combinations(range(A.shape[0]), n)))
+        subs = A[idx]
+        norms = np.linalg.norm(subs, axis=2)
+        keep = np.all(norms >= 1e-14, axis=1)
+        idx, subs, norms = idx[keep], subs[keep], norms[keep]
+        # scale-invariant regularity test so tiny state probabilities
+        # cannot mask a legitimate active set
+        regular = np.abs(np.linalg.det(subs / norms[..., None])) >= 1e-10
+        ys = np.linalg.solve(subs[regular], b[idx[regular]][..., None])
+        ys = ys[np.all((A @ ys)[..., 0] <= b + tol, axis=1), :, 0]
+        if not ys.size:
             return []
-        ys = np.array(found)
+        ys = np.where(np.abs(ys) < tol, 0.0, ys)
         grid = 1e-7 * max(1.0, float(np.max(np.abs(ys))))
         _, first = np.unique(np.round(ys / grid) + 0.0, axis=0, return_index=True)
         return list(ys[np.sort(first)])
@@ -484,12 +487,17 @@ class EquivalenceReport:
         }
 
 
-def _conditional_dominates(probs, y_hat, y_other, tol=1e-9) -> bool:
-    """Check y_hat >= E[y_other | sigma(y_hat)] by grouping equal y_hat values."""
+def _conditional_dominates(probs, y_hat, others, tol=1e-9) -> bool:
+    """Check y_hat >= E[y | sigma(y_hat)] for every row y of ``others``.
+
+    The states are grouped by equal y_hat values once, and every row's
+    conditional expectations come from one matrix product.
+    """
     keys = np.round(np.asarray(y_hat, dtype=float) / 1e-9) * 1e-9
-    levels, mass, weighted = _group_sums(
-        keys, probs, probs * np.asarray(y_other, dtype=float))
-    return not np.any(weighted / mass > levels + tol * (1.0 + np.abs(levels)))
+    levels, inverse = np.unique(keys, return_inverse=True)
+    groups = (np.arange(levels.size)[:, None] == inverse).astype(float)
+    expected = (groups @ (probs * others).T) / (groups @ probs)[:, None]
+    return not np.any(expected > (levels + tol * (1.0 + np.abs(levels)))[:, None])
 
 
 def sd_equivalence_audit(fm: FiniteMarket, candidate=None) -> EquivalenceReport:
@@ -507,17 +515,20 @@ def sd_equivalence_audit(fm: FiniteMarket, candidate=None) -> EquivalenceReport:
     if not fm.has_positive_deflator(vertices):
         raise PolytopeEmpty("no strictly positive deflator exists")
     probs = np.asarray(fm.probs)
-    candidates = [np.asarray(candidate, dtype=float)] if candidate is not None \
-        else vertices
-    laws = [merged_law(other, probs) for other in vertices]
-    results = []
-    for cand in candidates:
-        law_hat = merged_law(cand, probs)
-        results.append(CandidateVerdicts(
-            tuple(cand),
-            all(dominates_inf(law_hat, law) for law in laws),
-            all(_conditional_dominates(probs, cand, other) for other in vertices),
-            all(dominates_n(law_hat, law, 2) for law in laws)))
+    laws = [merged_law(v, probs) for v in vertices]
+    if candidate is None:
+        candidates, cand_laws = vertices, laws
+    else:
+        candidates = [np.asarray(candidate, dtype=float)]
+        cand_laws = [merged_law(candidates[0], probs)]
+    # one verdict per candidate-vertex pair, each order decided at once
+    laplace = np.isnan(laplace_witness_table(cand_laws, laws)).all(axis=1)
+    second = np.isnan(discrete_witness_table(cand_laws, laws, 2)).all(axis=1)
+    others = np.array(vertices)
+    results = [
+        CandidateVerdicts(tuple(cand), bool(lap),
+                          _conditional_dominates(probs, cand, others), bool(sec))
+        for cand, lap, sec in zip(candidates, laplace, second)]
     all_agree = all(r.agree for r in results)
     maximal = next((r.vertex for r in results if r.maximal), None)
     return EquivalenceReport(tuple(results), all_agree, maximal)

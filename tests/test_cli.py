@@ -284,6 +284,23 @@ def test_invalid_options_are_input_errors(discrete_inputs, argv, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_bad_cex1_truncations_are_refused_before_any_work(monkeypatch, capsys):
+    # the full 1e6-atom instance must not be built for a list that fails
+    import cmdual.counterexamples
+
+    built = []
+    instance = cmdual.counterexamples.Cex1Instance
+
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return instance(*args, **kwargs)
+
+    monkeypatch.setattr(cmdual.counterexamples, "Cex1Instance", counted)
+    assert main(["cex1", "--truncations", "0,1000000"]) == 2
+    assert capsys.readouterr().out == ""
+    assert built == []
+
+
 def test_parser_is_built_once_and_reused(discrete_inputs, capsys):
     assert _build_parser() is _build_parser()
     argv = ["dominance", discrete_inputs["F"], discrete_inputs["G"],

@@ -14,10 +14,12 @@ from cmdual.dominance import (
     Discrete,
     Distribution,
     Lognormal,
+    discrete_witness_table,
     dominates_inf,
     dominates_n,
     expectation_vs_iterated,
     iterated_cdf,
+    laplace_witness_table,
 )
 from cmdual.dominance import test_function_audit as function_audit
 from cmdual.errors import QuadratureFailure
@@ -386,3 +388,29 @@ def test_discrete_order_n_reads_only_iterated_cdfs(monkeypatch):
             calls.clear()
             dominates_n(F, G, n)
             assert len(calls) == 2 * n, (F, G, n)
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0])
+def test_witness_tables_match_single_pairs(scale):
+    # every entry of a rectangle equals the verdict of its pair on its own;
+    # shifted copies make some pairs dominate at every order
+    rng = np.random.default_rng(23)
+    laws = []
+    for _ in range(3):
+        xs = np.sort(rng.uniform(0.0, 1.0, 3))
+        ps = rng.dirichlet(np.ones(3))
+        laws += [Discrete(tuple(scale * xs), tuple(ps)),
+                 Discrete(tuple(scale * (xs + rng.uniform(0.05, 0.5, 3))),
+                          tuple(ps))]
+    rows, cols = laws[:4], laws
+
+    def witness(verdict):
+        return math.nan if verdict.witness is None else verdict.witness
+
+    for n in range(2, 9):
+        single = [[witness(dominates_n(F, G, n)) for G in cols] for F in rows]
+        assert np.array_equal(discrete_witness_table(rows, cols, n), single,
+                              equal_nan=True), n
+    single = [[witness(dominates_inf(F, G)) for G in cols] for F in rows]
+    assert np.array_equal(laplace_witness_table(rows, cols), single,
+                          equal_nan=True)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cmdual.dominance import Discrete
+from cmdual.dominance import Discrete, dominates_inf, dominates_n
 from cmdual.duality import (
     LogUtility,
     MeasureUtility,
@@ -499,7 +499,8 @@ def _allclose_vertices(fm, tol=1e-9):
     return verts
 
 
-def test_vertex_deduplication_matches_pairwise_allclose():
+def _sixty_markets():
+    # two markets with repeated payoffs, then random ones with both sides of s0
     rng = np.random.default_rng(11)
     markets = [FiniteMarket((0.4, 0.3, 0.3), (2.0, 0.5, 0.5), 1.0),
                FiniteMarket((0.25,) * 4, (2.0, 1.0, 0.5, 0.5), 1.0)]
@@ -509,10 +510,49 @@ def test_vertex_deduplication_matches_pairwise_allclose():
         if payoffs.min() < 1.0 < payoffs.max():
             markets.append(FiniteMarket(tuple(rng.dirichlet(np.ones(k))),
                                         tuple(payoffs), 1.0))
-    for fm in markets:
+    return markets
+
+
+def test_vertex_deduplication_matches_pairwise_allclose():
+    for fm in _sixty_markets():
         got, want = fm.deflator_vertices(), _allclose_vertices(fm)
         assert len(got) == len(want), fm
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), fm
+
+
+def _pairwise_audit(fm, candidate=None):
+    # the candidate-by-vertex loop the batched audit replaced: one verdict
+    # call per pair, and the conditional check grouped pair by pair
+    probs = np.asarray(fm.probs)
+    vertices = fm.deflator_vertices()
+    laws = [merged_law(v, probs) for v in vertices]
+
+    def conditional(y_hat, y_other, tol=1e-9):
+        keys = np.round(np.asarray(y_hat) / 1e-9) * 1e-9
+        levels, inverse = np.unique(keys, return_inverse=True)
+        mass = np.bincount(inverse, weights=probs)
+        weighted = np.bincount(inverse, weights=probs * y_other)
+        return not np.any(weighted / mass > levels + tol * (1.0 + np.abs(levels)))
+
+    candidates = vertices if candidate is None else [np.asarray(candidate)]
+    rows = []
+    for cand in candidates:
+        law_hat = merged_law(cand, probs)
+        rows.append({
+            "vertex": list(cand),
+            "laplace_order": all(dominates_inf(law_hat, law) for law in laws),
+            "conditional": all(conditional(cand, v) for v in vertices),
+            "second_order": all(dominates_n(law_hat, law, 2) for law in laws),
+        })
+    return rows
+
+
+def test_batched_audit_matches_pairwise_loop():
+    for fm in _sixty_markets():
+        interior = np.mean(fm.deflator_vertices(), axis=0)
+        for candidate in (None, interior):
+            got = sd_equivalence_audit(fm, candidate=candidate).to_dict()
+            assert got["candidates"] == _pairwise_audit(fm, candidate), fm
 
 
 def test_edge_interior_maximal_element_supplied():
@@ -558,10 +598,30 @@ def test_audit_merges_each_law_once(monkeypatch):
 
     monkeypatch.setattr(cmdual.solver, "merged_law", counted)
     sd_equivalence_audit(fm)
-    assert len(calls) == 2 * len(vertices)
+    # each vertex's law serves as its candidate law too
+    assert len(calls) == len(vertices)
     calls.clear()
     sd_equivalence_audit(fm, candidate=vertices[0])
     assert len(calls) == len(vertices) + 1
+
+
+def test_audit_evaluates_each_law_once_per_grid(monkeypatch):
+    # every Laplace transform is shared by all the pairs its law is in
+    fm = FiniteMarket((0.2, 0.15, 0.25, 0.1, 0.2, 0.1),
+                      (0.5, 0.8, 0.9, 1.5, 2.0, 1.2), 1.0)
+    vertices = fm.deflator_vertices()
+    assert len(vertices) > 4
+    sizes = []
+    laplace = Discrete.laplace
+
+    def counted(self, z):
+        sizes.append(np.size(z))
+        return laplace(self, z)
+
+    monkeypatch.setattr(Discrete, "laplace", counted)
+    sd_equivalence_audit(fm)
+    assert sizes
+    assert max(sizes.count(size) for size in set(sizes)) <= len(vertices)
 
 
 def test_dual_derivative_is_one_kernel_call(monkeypatch):
