@@ -1,13 +1,13 @@
 """Completely monotone functions of finite or infinite order.
 
-Two evaluable families live here.  ``CMFunction`` is a function with
-alternating-sign derivatives of all orders, backed either by a measure
-(so that f(x) is its exponentially weighted mass) or by a small closed-form
-catalog (powers ``x**(-a)``, exponentials ``exp(-b*x)``, and finite products
-of these).  ``DnFunction`` is a decreasing test function W whose negative
-derivative is completely monotone up to a finite order n; it is specified
-by its n-th derivative plus one anchor value and everything of lower order
-is recovered by collapsed tail integration.
+One evaluable type lives here.  ``DnFunction`` is a decreasing function W
+whose negative derivative is completely monotone, of all orders or up to a
+finite order n.  An infinite-order member is backed by the measure of -W'
+(Bernstein's theorem) or by a closed form: the catalog of powers
+``y**(-a)``, exponentials ``exp(-b*y)``, Laplace transforms of measures and
+finite products of these.  A finite-order member is specified by its n-th
+derivative plus one anchor value, and everything of lower order is
+recovered by collapsed tail integration.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import binom, factorial
 
 from .errors import (
     InvalidMeasure,
@@ -29,99 +28,12 @@ from .measures import (BernsteinMeasure, _any, exp_difference_moment,
                        laplace_moment)
 
 __all__ = [
-    "CMFunction",
     "DnFunction",
     "check_cm_order",
     "nfold_value",
     "limits_at_infinity",
     "CMOrderReport",
 ]
-
-
-def _rising(a: float, k: int) -> float:
-    out = 1.0
-    for j in range(k):
-        out *= a + j
-    return out
-
-
-@dataclass(frozen=True)
-class CMFunction:
-    """Completely monotone function with exact k-th derivatives.
-
-    Exactly one of ``measure`` and ``factors`` is set.  ``factors`` is a
-    tuple of catalog entries ("power", a) for x**(-a) with a > 0 or
-    ("exp", b) for exp(-b*x) with b > 0; several entries mean their product.
-    """
-
-    measure: Optional[BernsteinMeasure] = None
-    factors: tuple[tuple[str, float], ...] = ()
-
-    def __post_init__(self):
-        if (self.measure is None) == (not self.factors):
-            raise ValueError("provide exactly one of measure or factors")
-        for kind, p in self.factors:
-            if kind not in ("power", "exp"):
-                raise ValueError(f"unknown catalog entry {kind!r}")
-            if p <= 0:
-                raise ValueError("catalog parameters must be positive")
-
-    @classmethod
-    def from_measure(cls, m: BernsteinMeasure) -> "CMFunction":
-        return cls(measure=m)
-
-    @classmethod
-    def power(cls, a: float) -> "CMFunction":
-        return cls(factors=(("power", a),))
-
-    @classmethod
-    def exponential(cls, b: float) -> "CMFunction":
-        return cls(factors=(("exp", b),))
-
-    @classmethod
-    def product(cls, *funcs: "CMFunction") -> "CMFunction":
-        factors = []
-        for f in funcs:
-            if f.measure is not None:
-                raise ValueError("products are closed-form only")
-            factors.extend(f.factors)
-        return cls(factors=tuple(factors))
-
-    def _factor_derivs(self, kind: str, p: float, kmax: int, x: float) -> np.ndarray:
-        ks = np.arange(kmax + 1)
-        if kind == "power":
-            return np.array(
-                [(-1.0) ** k * _rising(p, k) * x ** (-p - k) for k in ks]
-            )
-        return (-p) ** ks * math.exp(-p * x)
-
-    def derivative(self, k: int, x: float) -> float:
-        if x <= 0:
-            raise ValueError("x must be positive")
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if self.measure is not None:
-            return (-1.0) ** k * laplace_moment(self.measure, x, k)
-        # Leibniz fold over the factor list
-        derivs = self._factor_derivs(*self.factors[0], k, x)
-        for kind, p in self.factors[1:]:
-            nxt = self._factor_derivs(kind, p, k, x)
-            derivs = np.array(
-                [
-                    sum(binom(m, j) * derivs[j] * nxt[m - j] for j in range(m + 1))
-                    for m in range(k + 1)
-                ]
-            )
-        return float(derivs[k])
-
-    def value(self, x: float) -> float:
-        return self.derivative(0, x)
-
-    __call__ = value
-
-    @property
-    def order(self) -> float:
-        return math.inf
 
 
 _TAIL_PROBE = (1e3, 1e4, 1e5)
@@ -133,16 +45,17 @@ _QUAD_TOL = 1e-10
 class DnFunction:
     """Decreasing test function W with -W' completely monotone of order n-1.
 
-    For ``order == math.inf`` the function is backed by the measure of -W';
-    for finite order it is specified by an evaluable n-th derivative whose
-    sign satisfies (-1)**n W^(n) >= 0, plus the anchor (y0, W(y0)).  Lower
-    derivatives come from the collapsed tail integral
+    For ``order == math.inf`` the function is backed by the measure of -W'
+    or by a closed form ``exact`` alone; for finite order it is specified
+    by an evaluable n-th derivative whose sign satisfies (-1)**n W^(n) >= 0,
+    plus the anchor (y0, W(y0)).  Lower derivatives come from the collapsed
+    tail integral
 
         (-1)**k W^(k)(y) = int_y^inf (t-y)**(n-1-k)/(n-1-k)! (-1)**n W^(n)(t) dt.
 
     ``exact`` optionally short-circuits derivative evaluation with a closed
-    form (used for test-function families where all orders are known, all
-    of which vanish at infinity).
+    form (used for families where all orders are known, all of which
+    vanish at infinity).
     ``exact``, ``derivative`` and ``value`` act elementwise on y (a float for
     a scalar, an array for an array); finite-order quadrature runs per point.
     """
@@ -160,9 +73,11 @@ class DnFunction:
             if self.nth_derivative is None:
                 raise ValueError("finite order requires the n-th derivative")
         else:
-            if self.measure is None:
-                raise ValueError("infinite order requires the measure of -W'")
-            if any(z == 0.0 for z, _ in self.measure.atoms):
+            if self.measure is None and self.exact is None:
+                raise ValueError("infinite order requires the measure of -W' "
+                                 "or a closed form")
+            if self.measure is not None and any(
+                    z == 0.0 for z, _ in self.measure.atoms):
                 raise InvalidMeasure("measure of -W' must have no mass at 0, "
                                      "else W'(inf) != 0")
         y0, _ = self.anchor
@@ -200,19 +115,52 @@ class DnFunction:
             terms = cs * (-zs) ** k * np.exp(-np.multiply.outer(y, zs))
             return terms.sum(axis=-1)
 
-        w0 = exact(0, 1.0)
-        if order == math.inf:
-            m = BernsteinMeasure.from_atoms(list(zip(zs, cs * zs)))
-            return cls.from_measure(m, anchor=(1.0, w0), exact=exact)
-        n = int(order)
-        return cls.from_nth_derivative(n, lambda t: exact(n, t),
-                                       anchor=(1.0, w0), exact=exact)
+        n = order if order == math.inf else int(order)
+        nth = None if n == math.inf else lambda t: exact(n, t)
+        return cls(order=n, anchor=(1.0, exact(0, 1.0)), nth_derivative=nth,
+                   exact=exact)
+
+    @classmethod
+    def power(cls, a: float) -> "DnFunction":
+        """W(y) = y**(-a) with a > 0."""
+        if a <= 0:
+            raise ValueError("a must be positive")
+
+        def exact(k, y):
+            rising = math.prod(a + j for j in range(k))
+            return (-1.0) ** k * rising * y ** (-a - k)
+
+        return cls(order=math.inf, anchor=(1.0, 1.0), exact=exact)
+
+    @classmethod
+    def laplace(cls, m: BernsteinMeasure) -> "DnFunction":
+        """W(y) = int exp(-y z) m(dz); m has no atom at 0, so W(inf) = 0."""
+        if any(z == 0.0 for z, _ in m.atoms):
+            raise InvalidMeasure("m must have no mass at 0, else W(inf) != 0")
+
+        def exact(k, y):
+            return (-1.0) ** k * laplace_moment(m, y, k)
+
+        return cls(order=math.inf, anchor=(1.0, exact(0, 1.0)), exact=exact)
+
+    @classmethod
+    def product(cls, *fs: "DnFunction") -> "DnFunction":
+        """W = f_1 * ... * f_r of closed-form infinite-order members, whose
+        derivatives follow by folding the Leibniz rule over the factors."""
+        if not fs or any(f.exact is None or f.order != math.inf for f in fs):
+            raise ValueError("products take closed-form members of infinite order")
+
+        def exact(k, y):
+            derivs = [fs[0].exact(j, y) for j in range(k + 1)]
+            for f in fs[1:]:
+                nxt = [f.exact(j, y) for j in range(k + 1)]
+                derivs = [sum(math.comb(r, j) * derivs[j] * nxt[r - j]
+                              for j in range(r + 1)) for r in range(k + 1)]
+            return derivs[k]
+
+        return cls(order=math.inf, anchor=(1.0, exact(0, 1.0)), exact=exact)
 
     # -- evaluation -----------------------------------------------------------
-
-    def _tail_weight(self, k: int, y: float, t: float) -> float:
-        m = int(self.order) - 1 - k
-        return (t - y) ** m / factorial(m, exact=True)
 
     def derivative(self, k: int, y):
         if _any(np.asarray(y) <= 0):
@@ -229,13 +177,14 @@ class DnFunction:
         if self.order == math.inf:
             return (-1.0) ** k * laplace_moment(self.measure, y, k - 1)
         n = int(self.order)
+        m = n - 1 - k  # the tail weight is (t-y)**m / m!
         from scipy import integrate
 
         def one(s):
             if k == n:
                 return self.nth_derivative(s)
             val, _ = integrate.quad(
-                lambda t: self._tail_weight(k, s, t)
+                lambda t: (t - s) ** m / math.factorial(m)
                 * (-1.0) ** n * self.nth_derivative(t),
                 s, math.inf, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
             return (-1.0) ** k * val
@@ -258,8 +207,8 @@ class DnFunction:
     def value_at_infinity(self) -> float:
         """lim W(y) as y -> inf, by integrating -W' over the anchor tail."""
         if self.exact is not None:
-            # the closed-form families (exponential mixtures, the cex1
-            # conjugate ~ f_inf / y) vanish at infinity
+            # the closed forms (the catalog, the cex1 conjugate ~ f_inf / y)
+            # vanish at infinity
             return 0.0
         from scipy import integrate
         y0, w0 = self.anchor
@@ -287,7 +236,7 @@ def nfold_value(W: DnFunction, y: float) -> float:
     n = int(W.order)
     y0, w0 = W.anchor
     _tail_probe(W, y, n)
-    fac = factorial(n - 1, exact=True)
+    fac = math.factorial(n - 1)
 
     def kernel(t):
         ky = max(t - y, 0.0) ** (n - 1) if n > 1 else float(t > y)
@@ -321,7 +270,7 @@ class CMOrderReport:
 
 
 def _central_difference(f, k: int, x: float, h: float) -> float:
-    coeffs = [(-1.0) ** i * binom(k, i) for i in range(k + 1)]
+    coeffs = [(-1.0) ** i * math.comb(k, i) for i in range(k + 1)]
     return sum(c * f(x + (k / 2.0 - i) * h) for i, c in enumerate(coeffs)) / h**k
 
 
@@ -339,7 +288,7 @@ def check_cm_order(f, n: int, grid, h: float = 1e-2,
                    tol_factor: float = 1e-8) -> CMOrderReport:
     """Check (-1)**k f^(k)(x) >= 0 for k = 0..n on the grid.
 
-    Exact derivatives are used for CMFunction/DnFunction inputs; plain
+    Exact derivatives are used for DnFunction inputs; plain
     callables are probed with Richardson-extrapolated central differences.
     Returns the first violating (k, x); estimates inside the noise band
     ``tol_sign = tol_factor*|f(x)| + 1e-12`` are recorded as inconclusive
@@ -348,7 +297,7 @@ def check_cm_order(f, n: int, grid, h: float = 1e-2,
     grid = sorted(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    exact_path = isinstance(f, (CMFunction, DnFunction))
+    exact_path = isinstance(f, DnFunction)
     fval = f.value if exact_path else f
     inconclusive = []
     for k in range(n + 1):

@@ -49,6 +49,11 @@ ZETA2 = float(polygamma(1, 1))
 _ERF_HALF = float(erf(1.0 / math.sqrt(2.0)))
 # integers per block of _power_tail
 _BLOCK = 256
+# the wide-spike rule's tables: 12 Gauss-Legendre nodes and weights on
+# [0, 1], and the panel breaks at a spike in widths from its centre
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
+_SPIKE_BREAKS = np.array([-13.0, -4.0, -1.0, 0.0, 1.0, 4.0])
 
 
 def _power_tail(s, start, stop: int):
@@ -179,7 +184,8 @@ class _ScaledReciprocalTail:
     gets the Gaussian-moment expansion; every spike below it vanishes, and
     every spike above it is the exact step 2(H(y) - H(j)) + sig_j**2 h'(j),
     a power series in j summed over [rint(y)+1, N] by anchored block sums.
-    The three wide low-index spikes are integrated numerically.  All parts
+    The three wide low-index spikes take fixed Gauss-Legendre panels over
+    [y, i + 13 sig_i], broken geometrically and at the spike.  All parts
     are vectorized over y, so a million evaluations cost a few array ops.
     """
 
@@ -206,18 +212,24 @@ class _ScaledReciprocalTail:
                    * t ** (q - n - 1 - d)
                    for q in range(min(d, m) + 1)) / math.factorial(m)
 
-    def _spike_quad(self, y: float, i: int, m: int) -> float:
+    def _wide_spike(self, y: np.ndarray, i: int, m: int) -> np.ndarray:
+        """E_i at points y below the upper end i + 13 sig of a wide spike.
+
+        Fixed Gauss-Legendre panels on [y, i + 13 sig]: 8 geometric breaks
+        follow the power t**-(n+1), and breaks at i + sig * _SPIKE_BREAKS
+        follow the erfc step; all points, panels and nodes in one array.
+        """
         sig = float(i) ** -4
         hi = i + 13.0 * sig
-        if y >= hi:
-            return 0.0
-        from scipy import integrate
-        fm, width = math.factorial(m), math.sqrt(2.0) * sig
-        val, _ = integrate.quad(
-            lambda t: (t - y) ** m * t ** (-self.n - 1) / fm
-            * math.erfc((t - i) / width),
-            y, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
-        return val
+        yc = y[:, None]
+        breaks = np.sort(np.concatenate(
+            [np.geomspace(y, hi, 8, axis=-1),
+             np.clip(i + sig * _SPIKE_BREAKS, yc, hi)], axis=1), axis=1)
+        width = np.diff(breaks, axis=1)[..., None]
+        t = breaks[:, :-1, None] + width * _GL_NODES
+        vals = ((t - yc[..., None]) ** m * t ** (-self.n - 1.0)
+                * erfc((t - i) / (math.sqrt(2.0) * sig)))
+        return (width * _GL_WEIGHTS * vals).sum(axis=(1, 2)) / math.factorial(m)
 
     def _band_term(self, y, i, m):
         """E_i by parts with a Gaussian-moment expansion, exact to O(sig**4).
@@ -245,14 +257,13 @@ class _ScaledReciprocalTail:
         n_terms = self.bump.n_terms
         out = np.zeros_like(y)
 
-        # wide spikes i = 1..3: numeric, only where their layer reaches y
+        # wide spikes i = 1..3: a panel rule, only where their layer reaches y
         for i in (1, 2, 3):
             if i > n_terms:
                 break
             mask = y < i + 13.0 * float(i) ** -4
             if np.any(mask):
-                vals = [self._spike_quad(float(yy), i, m) for yy in y[mask]]
-                out[mask] += np.asarray(vals) * float(i) ** -2.0
+                out[mask] += self._wide_spike(y[mask], i, m) * float(i) ** -2.0
 
         # the live spike rint(y), the only one whose layer can reach y
         live = np.rint(y)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import factorial
 
 from .cmcalc import DnFunction
 from .errors import InvalidMeasure, NoRoot, OrderExceeded, RangeError
@@ -189,7 +188,7 @@ class LogUtility(UtilitySpec):
     def conjugate_derivative(self, k, y):
         if k < 1:
             raise ValueError("k must be >= 1")
-        return (-1.0) ** k * factorial(k - 1, exact=True) * y ** (-k)
+        return (-1.0) ** k * math.factorial(k - 1) * y ** (-k)
 
     def rra(self, x):
         return np.full_like(x, 1.0, dtype=float)[()]
@@ -333,7 +332,7 @@ def footnote_utility(k: int = 1) -> MeasureUtility:
         raise ValueError("k must be an integer >= 1")
     k = int(k)
     pieces = [
-        DensityPiece((-1.0) ** (k - j) / factorial(j - 1, exact=True),
+        DensityPiece((-1.0) ** (k - j) / math.factorial(j - 1),
                      float(j - 1), 0.0)
         for j in range(1, k + 1)
     ]

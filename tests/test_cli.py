@@ -316,6 +316,12 @@ def test_parser_is_built_once_and_reused(discrete_inputs, capsys):
     assert capsys.readouterr().out == first != ""
 
 
+def test_cex1_loads_no_quadrature():
+    # the wide spikes take a fixed panel rule, not scipy quad
+    assert "scipy.integrate" not in loaded_after(
+        ["cex1", "--truncations", "1000,10000"])
+
+
 def test_sd_equiv_loads_no_optimizer(discrete_inputs):
     assert "scipy.optimize" not in loaded_after(
         ["sd-equiv", "--market", discrete_inputs["market"]])

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from cmdual.cmcalc import (
-    CMFunction,
     DnFunction,
     check_cm_order,
     limits_at_infinity,
     nfold_value,
 )
-from cmdual.errors import NotVanishing, OrderExceeded, TailDivergent
+from cmdual.errors import (InvalidMeasure, NotVanishing, OrderExceeded,
+                           TailDivergent)
 from cmdual.measures import BernsteinMeasure, DensityPiece
 
 
@@ -37,18 +37,19 @@ def nested_value_oracle(W, y, rel=1e-9):
 
 
 def test_measure_backed_reciprocal_derivatives():
-    f = CMFunction.from_measure(BernsteinMeasure.lebesgue())
+    f = DnFunction.laplace(BernsteinMeasure.lebesgue())
     assert f(1.0) == pytest.approx(1.0, rel=1e-12)
     assert f.derivative(3, 1.0) == pytest.approx(-6.0, rel=1e-12)
     assert f.derivative(1, 2.0) == pytest.approx(-0.25, rel=1e-12)
 
 
 def test_closed_form_catalog():
-    f = CMFunction.power(1.0)
+    f = DnFunction.power(1.0)
     assert f.derivative(3, 1.0) == pytest.approx(-6.0, rel=1e-14)
-    g = CMFunction.exponential(2.0)
+    g = DnFunction.exponential(2.0)
     assert g.derivative(2, 0.5) == pytest.approx(4.0 * math.exp(-1.0), rel=1e-14)
-    prod = CMFunction.product(CMFunction.power(1.0), CMFunction.exponential(2.0))
+    prod = DnFunction.product(DnFunction.power(1.0),
+                              DnFunction.exponential(2.0))
     # d/dx [x^-1 e^-2x] = -(x^-2 + 2 x^-1) e^-2x
     assert prod.derivative(1, 1.0) == pytest.approx(-3.0 * math.exp(-2.0), rel=1e-13)
 
@@ -58,11 +59,42 @@ def test_product_outside_catalog_goes_through_measure():
     # brute-force quadrature of the defining measure
     m = BernsteinMeasure(pieces=(DensityPiece(1.0, 0.0, 0.0),
                                  DensityPiece(-1.0, 0.0, 1.0)))
-    f = CMFunction.from_measure(m)
+    f = DnFunction.laplace(m)
     brute, _ = integrate.quad(lambda t: math.exp(-t) * (1 - math.exp(-t)),
                               0, math.inf)
     assert brute == pytest.approx(0.5, abs=1e-10)
     assert f(1.0) == pytest.approx(0.5, rel=1e-11)
+
+
+def test_closed_form_members_vanish_at_infinity():
+    # a Laplace transform tends to m({0}), so a measure with an atom at 0 is
+    # refused rather than given the closed forms' limit 0
+    members = (DnFunction.power(0.5), DnFunction.exponential(2.0),
+               DnFunction.product(DnFunction.power(1.0),
+                                  DnFunction.exponential(2.0)),
+               DnFunction.laplace(BernsteinMeasure.lebesgue()))
+    for f in members:
+        assert f.value_at_infinity() == 0.0
+        assert 0.0 <= f(1e12) <= 1e-6
+    with pytest.raises(InvalidMeasure):
+        DnFunction.laplace(BernsteinMeasure(atoms=((0.0, 1.0), (2.0, 1.0))))
+    with pytest.raises(ValueError):
+        DnFunction(order=math.inf, anchor=(1.0, 0.0))
+
+
+def test_measure_of_minus_derivative_matches_closed_forms():
+    # 1/y backed by the measure z dz of its negative derivative agrees with
+    # the Laplace transform of Lebesgue measure and with the catalog power
+    W = DnFunction.from_measure(
+        BernsteinMeasure(pieces=(DensityPiece(1.0, 1.0, 0.0),)),
+        anchor=(1.0, 1.0))
+    for f in (DnFunction.laplace(BernsteinMeasure.lebesgue()),
+              DnFunction.power(1.0)):
+        for y in (0.5, 2.0, 4.0):
+            for k in range(5):
+                assert W.derivative(k, y) == pytest.approx(f.derivative(k, y),
+                                                           rel=1e-12)
+    assert W.value_at_infinity() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_dn_exponential_derivative():
@@ -103,7 +135,7 @@ def test_tail_probe_rejects_divergent_generator():
 
 
 def test_check_cm_order_examples():
-    f = CMFunction.from_measure(BernsteinMeasure.lebesgue())
+    f = DnFunction.laplace(BernsteinMeasure.lebesgue())
     assert check_cm_order(f, 6, [0.1, 1.0, 10.0]).ok
     rep = check_cm_order(lambda x: x, 1, [1.0])
     assert not rep.ok
@@ -148,6 +180,6 @@ def test_exponentials_are_universal_members(n):
 @given(z=st.floats(0.1, 5.0), x=st.floats(0.1, 10.0), k=st.integers(0, 6))
 @settings(max_examples=60, deadline=None)
 def test_measure_backed_sign_alternation(z, x, k):
-    f = CMFunction.from_measure(
+    f = DnFunction.laplace(
         BernsteinMeasure(atoms=((z, 1.0),), pieces=(DensityPiece(0.5, 0.0, 1.0),)))
     assert (-1.0) ** k * f.derivative(k, x) >= 0.0

@@ -1,6 +1,7 @@
 """Tests for the analyticity-failure and kinked-value-function constructions."""
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -111,6 +112,40 @@ def _check_tail_against_spike_quadrature(n):
     for k in range(n):
         for y, g in zip(TAIL_POINTS, got[k]):
             assert g == pytest.approx(brute_sum(y, k), rel=1e-9, abs=1e-14), (k, y)
+
+
+# the ends, every atom below 14 and points within 1e-3 sig of the wide
+# spikes 2 and 3 on either side
+WIDE_POINTS = (0.1, 0.5, 13.99, *range(1, 14),
+               *(c + d * c**-4.0 for c in (2.0, 3.0) for d in (-1e-3, 1e-3)))
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_wide_spike_rule_matches_high_precision_oracle(i):
+    # E_i(y) = int_y^hi (t-y)^m/m! t^-(n+1) erfc((t-i)/(sqrt2 sig)) dt for
+    # n = 1..5 and every m, from the moments int_y^hi t^-p erfc(.) dt at 30
+    # digits; near y = 13 erfc is about 1e-32, below the oracle's own
+    # absolute accuracy, hence the absolute floor
+    ys = [y for y in WIDE_POINTS if y < i + 13.0 * i**-4.0]
+    got = {(n, m): _ScaledReciprocalTail(n, None)._wide_spike(
+        np.array(ys), i, m) for n in range(1, 6) for m in range(n)}
+    with mpmath.workdps(30):
+        sig = mpmath.mpf(i) ** -4
+        hi = i + 13 * sig
+        step = functools.lru_cache(maxsize=None)(
+            lambda t: mpmath.erfc((t - i) / (mpmath.sqrt(2) * sig)))
+        for a, y in enumerate(map(mpmath.mpf, ys)):
+            breaks = sorted({y, hi, *(b for b in (i + sig * c for c in (
+                -13, -4, -1, 0, 1, 4)) if y < b < hi)})
+            moment = {p: mpmath.quad(lambda t: t**-p * step(t), breaks,
+                                     method="gauss-legendre")
+                      for p in range(1, 7)}
+            for (n, m), g in got.items():
+                want = sum(math.comb(m, j) * (-y) ** (m - j)
+                           * moment[n + 1 - j]
+                           for j in range(m + 1)) / math.factorial(m)
+                assert g[a] == pytest.approx(float(want), rel=1e-12,
+                                             abs=1e-30), (n, m, float(y))
 
 
 def test_tail_sum_expands_one_live_spike_per_point(monkeypatch):
