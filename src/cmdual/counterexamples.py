@@ -344,7 +344,7 @@ class Cex1Instance:
         s0 = float(np.sum(q))
         s1 = float(np.sum(i * q))
         eps = 0.5 / (s1 / s0 - 0.5)
-        return i, eps * q / s0, s0, s1, eps
+        return i, eps * q / s0, s0, eps
 
     @property
     def atoms(self) -> np.ndarray:
@@ -359,12 +359,8 @@ class Cex1Instance:
         return self._atom_weights[2]
 
     @property
-    def s1(self) -> float:
-        return self._atom_weights[3]
-
-    @property
     def eps(self) -> float:
-        return self._atom_weights[4]
+        return self._atom_weights[3]
 
     @property
     def base_prob(self) -> float:
@@ -405,39 +401,34 @@ class Cex1Instance:
         return DnFunction.from_nth_derivative(
             n, lambda t: exact(n, t), anchor=(1.0, exact(0, 1.0)), exact=exact)
 
-    def check_envelope(self, ys, k: int, tol: float = 1e-9):
-        """(-1)^k V^(k) must lie between 1 and 2 times the f == 1 reference."""
+    def check_envelope(self, ys, k: int):
+        """(-1)^k V^(k) must lie between 1 and 2 times the f == 1 reference,
+        each end widened by the relative tolerance 1e-9."""
         ys = np.asarray(ys, dtype=float)
         sign = (-1.0) ** k
         got = sign * self.conjugate.derivative(k, ys)
         ref = sign * self.degenerate_conjugate.derivative(k, ys)
-        if np.any(got < ref * (1.0 - tol)) or np.any(got > 2.0 * ref * (1.0 + tol)):
-            bad = int(np.argmax(~((got >= ref * (1 - tol))
-                                  & (got <= 2 * ref * (1 + tol)))))
+        lo, hi = ref * (1 - 1e-9), 2 * ref * (1 + 1e-9)
+        if np.any(got < lo) or np.any(got > hi):
+            bad = int(np.argmax(~((got >= lo) & (got <= hi))))
             raise EnvelopeViolation(
                 f"order {k} at y={ys[bad]}: {got[bad]} outside "
                 f"[{ref[bad]}, {2 * ref[bad]}]")
 
 
-def cex1_verify_finite(inst: Cex1Instance, n_trunc: Optional[int] = None,
-                       envelope_points: int = 0, seed: int = 0) -> dict:
+def cex1_verify_finite(inst: Cex1Instance,
+                       n_trunc: Optional[int] = None) -> dict:
     """Partial sums of (d/dy)^k v at y = 1 for k = 1..n.
 
     Each entry is E[V^(k)(Z) Z**k] truncated at ``n_trunc`` atoms (weights
     are those of the full instance, so successive truncations are partial
-    sums of one fixed series).  With ``envelope_points`` > 0 the two-sided
-    reference-envelope check runs first on random points in [0.1, 20].
+    sums of one fixed series).
     """
     n = inst.order
     n_trunc = inst.n_trunc if n_trunc is None else int(n_trunc)
     if n_trunc < 10**3:
         raise ValueError("truncation must be at least 1e3")
     n_trunc = min(n_trunc, inst.n_trunc)
-    if envelope_points:
-        rng = np.random.default_rng(seed)
-        ys = rng.uniform(0.1, 20.0, size=envelope_points)
-        for k in range(0, n + 1):
-            inst.check_envelope(ys, k)
     i = inst.atoms[:n_trunc]
     p = inst.atom_probs[:n_trunc]
     out = {}
@@ -477,15 +468,15 @@ def check_truncations(truncations) -> tuple[int, ...]:
     return truncations
 
 
-def cex1_divergence(inst: Cex1Instance, truncations=(10**3, 10**4, 10**5, 10**6),
-                    band: float = 0.25) -> DivergenceReport:
+def cex1_divergence(inst: Cex1Instance,
+                    truncations=(10**3, 10**4, 10**5, 10**6)) -> DivergenceReport:
     """Partial sums of the order n+1 derivative expectation at y = 1.
 
     S_N = sum_{i <= N} p_i (-1)**(n+1) V^(n+1)(i) i**(n+1) must grow by a
     near-constant amount per decade: the spike heights make
     -f'(i) q_i ~ i**-1 / C, so the harmonic oracle predicts an increment
     eps n! / (s0 C) * sum 1/i over each decade.  ``diverges`` is true when
-    every increment is positive and within ``band`` of the oracle; it takes
+    every increment is positive and within 25% of the oracle; it takes
     at least two increasing truncations, the first at least 1.
     """
     truncations = check_truncations(truncations)
@@ -506,7 +497,7 @@ def cex1_divergence(inst: Cex1Instance, truncations=(10**3, 10**4, 10**5, 10**6)
     ]
     increments = [b - a for a, b in zip(sums, sums[1:])]
     diverges = all(
-        inc > 0 and abs(inc - orc) <= band * orc
+        inc > 0 and abs(inc - orc) <= 0.25 * orc
         for inc, orc in zip(increments, oracle)
     )
     return DivergenceReport(truncations, tuple(sums), tuple(increments),

@@ -115,11 +115,12 @@ class Discrete(Distribution):
         ps = np.asarray(self.ps, dtype=float)
         if xs.ndim != 1 or xs.shape != ps.shape or xs.size == 0:
             raise ValueError("support and probabilities must match and be nonempty")
-        if np.any(xs < 0):
+        # written so that a NaN fails each check
+        if not np.all(np.isfinite(xs) & (xs >= 0)):
             raise ValueError("support must lie in [0, inf)")
-        if np.any(ps <= 0):
+        if not np.all(ps > 0):
             raise ValueError("probabilities must be strictly positive")
-        if abs(ps.sum() - 1.0) > 1e-12:
+        if not abs(ps.sum() - 1.0) <= 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         order = np.argsort(xs)
         xs, ps = xs[order], ps[order]
@@ -186,8 +187,8 @@ class Lognormal(Distribution):
     s2: float
 
     def __post_init__(self):
-        if self.s2 <= 0:
-            raise ValueError("log-variance must be positive")
+        if not (math.isfinite(self.m) and 0 < self.s2 < math.inf):
+            raise ValueError("log-mean must be finite, log-variance positive")
 
     @property
     def s(self):

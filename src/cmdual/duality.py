@@ -2,8 +2,9 @@
 
 A utility U is specified in one of four ways: the log and power closed
 forms, a measure whose exponentially weighted mass is the inverse marginal
-(U')^{-1}, or a finite-order conjugate function V given directly.  Every
-spec exposes U, U', U'', (U')^{-1}, the convex conjugate V with its
+(U')^{-1}, or a finite-order conjugate function V given directly; the last
+two hold V as a ``cmcalc.DnFunction`` and read V, V^(k) and -V' off it.
+Every spec exposes U, U', U'', (U')^{-1}, the convex conjugate V with its
 derivatives, and the relative risk aversion/tolerance pair A and B with
 A(x) * B(U'(x)) = 1.
 
@@ -20,15 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmcalc import DnFunction
-from .errors import InvalidMeasure, NoRoot, OrderExceeded, RangeError
-from .measures import (
-    BernsteinMeasure,
-    DensityPiece,
-    _any,
-    exp_difference_moment,
-    laplace_moment,
-    mass,
-)
+from .errors import InvalidMeasure, NoRoot, RangeError
+from .measures import BernsteinMeasure, DensityPiece, _any, mass
 
 __all__ = [
     "UtilitySpec",
@@ -41,17 +35,17 @@ __all__ = [
 ]
 
 
-def invert_decreasing(fn, dfn, target, y_init: float = 1.0,
-                      rel_tol: float = 1e-12, max_iter: int = 200):
+def invert_decreasing(fn, dfn, target):
     """Solve fn(y) = target elementwise for a strictly decreasing positive fn.
 
-    Each element is bracketed by geometric halving and doubling from y_init,
-    then solved by Newton with dfn, falling back to bisection whenever an
-    iterate leaves its bracket.  fn and dfn act elementwise on the shape of
-    ``target``: a scalar target gives a float, an array an array.
+    Each element is bracketed by geometric halving and doubling from y = 1,
+    then solved by Newton with dfn to a relative residual of 1e-12 in at
+    most 200 steps, falling back to bisection whenever an iterate leaves its
+    bracket.  fn and dfn act elementwise on the shape of ``target``: a
+    scalar target gives a float, an array an array.
     """
     target = np.asarray(target, dtype=float)[()]
-    lo = hi = np.full(target.shape, float(y_init))[()]
+    lo = hi = np.full(target.shape, 1.0)[()]
     flo = fhi = fn(lo)
     for _ in range(2000):
         low, high = ~(flo >= target), ~(fhi <= target)
@@ -68,8 +62,8 @@ def invert_decreasing(fn, dfn, target, y_init: float = 1.0,
     else:
         raise NoRoot("target below the attainable range")
     y = 0.5 * (lo + hi)
-    tol = rel_tol * np.maximum(np.abs(target), 1e-300)
-    for _ in range(max_iter):
+    tol = 1e-12 * np.maximum(np.abs(target), 1e-300)
+    for _ in range(200):
         f = fn(y) - target
         active = ~(np.abs(f) <= tol)
         if not _any(active):
@@ -206,8 +200,8 @@ class PowerUtility(UtilitySpec):
     kind = "power"
 
     def __post_init__(self):
-        if self.p >= 1 or self.p == 0:
-            raise ValueError("power parameter requires p < 1, p != 0")
+        if not (-math.inf < self.p < 1 and self.p != 0):
+            raise ValueError("power parameter requires finite p < 1, p != 0")
 
     @property
     def q(self):
@@ -247,35 +241,47 @@ class PowerUtility(UtilitySpec):
         return {"kind": "power", "p": self.p}
 
 
+class _ConjugateUtility(UtilitySpec):
+    """Utility given through its conjugate ``V``, a DnFunction: the inverse
+    marginal is -V' and the conjugate derivatives are those of V."""
+
+    V: DnFunction
+
+    @property
+    def max_order(self):
+        return self.V.order
+
+    def inverse_marginal(self, y):
+        if _any(np.asarray(y) <= 0):
+            raise ValueError("y must be positive")
+        return -self.V.derivative(1, y)
+
+    def conjugate(self, y):
+        return self.V.value(y)
+
+    def conjugate_derivative(self, k, y):
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        return self.V.derivative(k, y)
+
+
 @dataclass(frozen=True)
-class MeasureUtility(UtilitySpec):
-    """Utility whose inverse marginal is the weighted mass of ``measure``."""
+class MeasureUtility(_ConjugateUtility):
+    """Utility whose inverse marginal is the weighted mass of ``measure``:
+    V is the Laplace transform form of Bernstein's theorem, pinned at
+    ``anchor`` = (y0, V(y0))."""
 
     measure: BernsteinMeasure
     anchor: tuple[float, float] = (1.0, 0.0)
     kind = "measure"
 
     def __post_init__(self):
-        if any(z == 0.0 for z, _ in self.measure.atoms):
-            raise InvalidMeasure("inverse-marginal measure must have no mass "
-                                 "at 0 (marginal must vanish at infinity)")
+        # DnFunction refuses an atom at 0 (U' must vanish at infinity)
+        object.__setattr__(self, "V", DnFunction.from_measure(self.measure,
+                                                              self.anchor))
         if not math.isinf(mass(self.measure, 0.0, math.inf)):
             raise InvalidMeasure("inverse-marginal measure needs infinite "
                                  "mass so the marginal blows up at 0")
-
-    def inverse_marginal(self, y):
-        if _any(np.asarray(y) <= 0):
-            raise ValueError("y must be positive")
-        return laplace_moment(self.measure, y, 0)
-
-    def conjugate(self, y):
-        y0, v0 = self.anchor
-        return v0 + exp_difference_moment(self.measure, y, y0)
-
-    def conjugate_derivative(self, k, y):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        return (-1.0) ** k * laplace_moment(self.measure, y, k - 1)
 
     def to_dict(self):
         return {"kind": "measure", "measure": self.measure.to_dict(),
@@ -283,7 +289,7 @@ class MeasureUtility(UtilitySpec):
 
 
 @dataclass(frozen=True)
-class FiniteOrderUtility(UtilitySpec):
+class FiniteOrderUtility(_ConjugateUtility):
     """Utility given through a finite-order conjugate function V.
 
     Derivatives are exposed only up to the order of V; beyond that the
@@ -296,22 +302,6 @@ class FiniteOrderUtility(UtilitySpec):
     def __post_init__(self):
         if self.V.order == math.inf:
             raise ValueError("use MeasureUtility for infinite order")
-
-    @property
-    def max_order(self):
-        return int(self.V.order)
-
-    def inverse_marginal(self, y):
-        return -self.V.derivative(1, y)
-
-    def conjugate(self, y):
-        return self.V.value(y)
-
-    def conjugate_derivative(self, k, y):
-        if k > self.max_order:
-            raise OrderExceeded(
-                f"conjugate of order {self.max_order} has no derivative {k}")
-        return self.V.derivative(k, y)
 
     def to_dict(self):
         raise NotImplementedError(

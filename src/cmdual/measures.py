@@ -77,6 +77,12 @@ class BernsteinMeasure:
 
     def _validate(self):
         locs = [z for z, _ in self.atoms]
+        numbers = [*locs, *(w for _, w in self.atoms),
+                   *(v for p in self.pieces for v in (p.c, p.a, p.b, p.lo))]
+        if not (all(map(math.isfinite, numbers))
+                and all(-math.inf < p.hi <= math.inf for p in self.pieces)):
+            raise ValueError("atoms and piece parameters must be finite "
+                             "(only a piece's hi may be inf)")
         if any(z < 0 for z in locs):
             raise InvalidMeasure("atom locations must be >= 0")
         if any(w <= 0 for _, w in self.atoms):

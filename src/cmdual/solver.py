@@ -75,10 +75,12 @@ class FiniteMarket:
         s = np.asarray(self.payoffs, dtype=float)
         if p.shape != s.shape or p.ndim != 1 or p.size < 2:
             raise ValueError("need matching probabilities and payoffs, >= 2 states")
-        if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-10:
+        # written so that a NaN fails each check
+        if not (np.all(p > 0) and abs(p.sum() - 1.0) <= 1e-10):
             raise ValueError("probabilities must be positive and sum to 1")
-        if np.any(s < 0) or self.s0 <= 0:
-            raise ValueError("payoffs must be nonnegative and s0 positive")
+        if not (np.all(np.isfinite(s) & (s >= 0)) and 0 < self.s0 < math.inf):
+            raise ValueError("payoffs must be finite and nonnegative, s0 "
+                             "finite and positive")
 
     def _arrays(self):
         return np.asarray(self.probs), np.asarray(self.payoffs)
@@ -117,12 +119,13 @@ class FiniteMarket:
             add(p * -gap, 0.0)
         return np.vstack(rows), np.concatenate(rhs)
 
-    def deflator_vertices(self, tol: float = 1e-9) -> list[np.ndarray]:
+    def deflator_vertices(self) -> list[np.ndarray]:
         """Extreme points of the deflator polytope by active-set enumeration.
 
-        Several active sets can solve to the same vertex up to rounding, so
-        solutions equal on a grid of 1e-7 times the largest entry are one
-        vertex, kept in the order first found.
+        A solution of an active set is feasible within 1e-9, and entries
+        below 1e-9 in size are 0.  Several active sets can solve to the same
+        vertex up to rounding, so solutions equal on a grid of 1e-7 times
+        the largest entry are one vertex, kept in the order first found.
         """
         A, b = self.deflator_constraints()
         n = A.shape[1]
@@ -135,17 +138,18 @@ class FiniteMarket:
         # cannot mask a legitimate active set
         regular = np.abs(np.linalg.det(subs / norms[..., None])) >= 1e-10
         ys = np.linalg.solve(subs[regular], b[idx[regular]][..., None])
-        ys = ys[np.all((A @ ys)[..., 0] <= b + tol, axis=1), :, 0]
+        ys = ys[np.all((A @ ys)[..., 0] <= b + 1e-9, axis=1), :, 0]
         if not ys.size:
             return []
-        ys = np.where(np.abs(ys) < tol, 0.0, ys)
+        ys = np.where(np.abs(ys) < 1e-9, 0.0, ys)
         grid = 1e-7 * max(1.0, float(np.max(np.abs(ys))))
         _, first = np.unique(np.round(ys / grid) + 0.0, axis=0, return_index=True)
         return list(ys[np.sort(first)])
 
-    def contains_deflator(self, y, tol: float = 1e-9) -> bool:
+    def contains_deflator(self, y) -> bool:
+        """Whether y meets every deflator constraint within 1e-9."""
         A, b = self.deflator_constraints()
-        return bool(np.all(A @ np.asarray(y, dtype=float) <= b + tol))
+        return bool(np.all(A @ np.asarray(y, dtype=float) <= b + 1e-9))
 
     def has_positive_deflator(self, vertices=None) -> bool:
         """Some deflator is strictly positive in every state.
@@ -186,8 +190,8 @@ class MarketModel:
     @classmethod
     def lognormal(cls, kappa: float) -> "MarketModel":
         """Deflator law exp(N(-kappa/2, kappa)): unit-mean lognormal."""
-        if kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not 0 < kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
         return cls(Lognormal(-kappa / 2.0, kappa))
 
     @classmethod
@@ -487,8 +491,9 @@ class EquivalenceReport:
         }
 
 
-def _conditional_dominates(probs, y_hat, others, tol=1e-9) -> bool:
-    """Check y_hat >= E[y | sigma(y_hat)] for every row y of ``others``.
+def _conditional_dominates(probs, y_hat, others) -> bool:
+    """Check y_hat >= E[y | sigma(y_hat)] for every row y of ``others``,
+    within 1e-9 relative to 1 + |y_hat|.
 
     The states are grouped by equal y_hat values once, and every row's
     conditional expectations come from one matrix product.
@@ -497,7 +502,8 @@ def _conditional_dominates(probs, y_hat, others, tol=1e-9) -> bool:
     levels, inverse = np.unique(keys, return_inverse=True)
     groups = (np.arange(levels.size)[:, None] == inverse).astype(float)
     expected = (groups @ (probs * others).T) / (groups @ probs)[:, None]
-    return not np.any(expected > (levels + tol * (1.0 + np.abs(levels)))[:, None])
+    bound = levels + 1e-9 * (1.0 + np.abs(levels))
+    return not np.any(expected > bound[:, None])
 
 
 def sd_equivalence_audit(fm: FiniteMarket, candidate=None) -> EquivalenceReport:

@@ -218,6 +218,31 @@ def test_cli_import_leaves_out_scipy_stats():
     assert loaded_after() == set()
 
 
+NAN = float("nan")
+MARKET = {"probs": [0.3, 0.3, 0.2, 0.2], "payoffs": [0.5, 0.8, 1.5, 2.0]}
+LEBESGUE_PIECE = {"c": 1.0, "a": 0.0, "b": 0.0}
+# inputs holding a NaN, each of which used to decide a verdict or fail as a
+# numerical failure (exit 3) instead of an input error (exit 2)
+NON_FINITE = {
+    "nan_x": {"kind": "discrete", "x": [NAN, 1.0], "p": [0.5, 0.5]},
+    "nan_p": {"kind": "discrete", "x": [1.0, 2.0], "p": [NAN, 0.5]},
+    "nan_sample": {"kind": "empirical", "sample": [NAN, 1.0, 2.0]},
+    "nan_lognormal": {"kind": "lognormal", "m": NAN, "s2": 0.25},
+    "nan_anchor": {**footnote_utility(1).to_dict(), "anchor": [1.0, NAN]},
+    "nan_atom": {"kind": "measure", "measure": {
+        "atoms": [{"z": NAN, "w": 1.0}], "pieces": [LEBESGUE_PIECE]}},
+    "nan_piece": {"kind": "measure", "measure": {
+        "pieces": [LEBESGUE_PIECE, {"c": 1.0, "a": NAN, "b": 1.0}]}},
+    "nan_power": {"kind": "power", "p": NAN},
+    "nan_mixture": {"kind": "finite_order", "n": 3,
+                    "mixture": {"z": [1.0, NAN], "c": [1.0, 0.5]}},
+    "nan_kappa": {"kappa": NAN},
+    "nan_probs": {**MARKET, "probs": [NAN, 0.3, 0.2, 0.2]},
+    "nan_payoffs": {**MARKET, "payoffs": [NAN, 0.8, 1.5, 2.0]},
+    "nan_s0": {**MARKET, "s0": NAN},
+}
+
+
 @pytest.fixture
 def discrete_inputs(tmp_path):
     F = write(tmp_path, "F.json", {"kind": "discrete", "x": [1.0, 2.0, 3.0],
@@ -229,11 +254,12 @@ def discrete_inputs(tmp_path):
     mixture = write(tmp_path, "mixture.json", {
         "kind": "finite_order", "n": 4,
         "mixture": {"z": [1.0, 2.0], "c": [1.0, 0.5]}})
-    market = write(tmp_path, "market.json", {
-        "probs": [0.3, 0.3, 0.2, 0.2], "payoffs": [0.5, 0.8, 1.5, 2.0]})
+    market = write(tmp_path, "market.json", MARKET)
     return {"F": F, "G": G, "deflator": deflator, "mixture": mixture,
             "log": write(tmp_path, "log.json", {"kind": "log"}),
-            "market": market}
+            "market": market,
+            **{name: write(tmp_path, f"{name}.json", payload)
+               for name, payload in NON_FINITE.items()}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -269,11 +295,29 @@ MODEL = ["--utility", "log", "--model", "deflator"]
     ["cex2", "--eps", "1e-2,nan"],
     ["sd-equiv", "--market", "market", "--candidate", "inf,1,1,1"],
     ["audit", "F", "G", "--family-size", "0"],
+    ["dominance", "nan_x", "G", "--order", "2"],
+    ["dominance", "F", "nan_p", "--order", "2"],
+    ["dominance", "nan_sample", "G", "--order", "2"],
+    ["dominance", "F", "nan_lognormal", "--order", "inf"],
+    ["solve", "--utility", "nan_anchor", "--model", "deflator"],
+    ["solve", "--utility", "nan_atom", "--model", "deflator"],
+    ["solve", "--utility", "nan_piece", "--model", "deflator"],
+    ["solve", "--utility", "nan_power", "--model", "deflator"],
+    ["solve", "--utility", "nan_mixture", "--model", "deflator"],
+    ["solve", "--utility", "log", "--model", "nan_kappa"],
+    ["sd-equiv", "--market", "nan_probs"],
+    ["sd-equiv", "--market", "nan_payoffs"],
+    ["sd-equiv", "--market", "nan_s0"],
 ], ids=["solve-order-inf", "derivatives-order-inf", "invert-order-inf",
         "cex1-order-inf", "invert-z-inf", "invert-z-nan", "derivatives-x-nan",
         "derivatives-x-inf", "solve-grid-inf", "cex1-truncation-inf",
         "cex1-truncation-zero", "cex1-single-truncation",
-        "cex2-eps-nan", "sd-equiv-candidate-inf", "audit-family-size-0"])
+        "cex2-eps-nan", "sd-equiv-candidate-inf", "audit-family-size-0",
+        "dominance-nan-support", "dominance-nan-probability",
+        "dominance-nan-sample", "dominance-nan-lognormal", "solve-nan-anchor",
+        "solve-nan-atom", "solve-nan-piece", "solve-nan-power",
+        "solve-nan-mixture", "solve-nan-kappa",
+        "sd-equiv-nan-probability", "sd-equiv-nan-payoff", "sd-equiv-nan-s0"])
 def test_invalid_options_are_input_errors(discrete_inputs, argv, capsys):
     argv = [discrete_inputs.get(a, a) for a in argv]
     with warnings.catch_warnings(record=True) as caught:

@@ -224,6 +224,16 @@ def test_empirical_rejects_negative():
         Discrete((-1.0, 1.0), (0.5, 0.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_discrete_refuses_non_finite_numbers(bad):
+    # each check used to read False on a NaN, which then became a verdict
+    for xs, ps in (((bad, 1.0), (0.5, 0.5)), ((1.0, 2.0), (bad, 0.5))):
+        with pytest.raises(ValueError):
+            Discrete(xs, ps)
+    with pytest.raises(ValueError):
+        Distribution.from_dict({"kind": "empirical", "sample": [bad, 1.0]})
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_discrete_polynomial_path_matches_dense_grid(n):
     # fuzz the exact piecewise-polynomial violation search against a brute

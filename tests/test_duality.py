@@ -15,7 +15,7 @@ from cmdual.duality import (
     UtilitySpec,
     footnote_utility,
 )
-from cmdual.errors import InvalidMeasure, OrderExceeded
+from cmdual.errors import InvalidMeasure, NonIntegrable, OrderExceeded
 from cmdual.measures import BernsteinMeasure
 
 LOG = LogUtility()
@@ -139,6 +139,39 @@ def test_finite_order_spec():
     assert u.marginal(0.25) == pytest.approx(2.0, rel=1e-9)
     with pytest.raises(OrderExceeded):
         u.conjugate_derivative(3, 1.0)
+
+
+@pytest.mark.parametrize("name", ["log", "power", "measure", "finite_order"])
+def test_conjugate_derivative_refuses_order_zero(name):
+    # V itself is ``conjugate``; order 0 is refused by every spec kind
+    V = DnFunction.from_nth_derivative(2, lambda t: 2.0 / t**3,
+                                       anchor=(1.0, 1.0))
+    u = {"log": LOG, "power": POWER_M1, "measure": FOOTNOTE,
+         "finite_order": FiniteOrderUtility(V)}[name]
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            u.conjugate_derivative(k, 1.0)
+
+
+def test_measure_utility_domain_errors():
+    # y * Y underflowing to 0 is a divergent moment, not a bad argument,
+    # while the inverse marginal refuses a point outside (0, inf)
+    for k in (1, 2, 5):
+        with pytest.raises(NonIntegrable):
+            FOOTNOTE.conjugate_derivative(k, 0.0)
+        with pytest.raises(NonIntegrable):
+            FOOTNOTE.conjugate_derivative(k, np.array([1.0, 0.0, 2.0]))
+    for y in (0.0, -1.0, np.array([1.0, 0.0])):
+        with pytest.raises(ValueError):
+            FOOTNOTE.inverse_marginal(y)
+
+
+def test_measure_utility_refuses_non_finite_anchor():
+    m = BernsteinMeasure.lebesgue()
+    for anchor in ((1.0, math.nan), (math.nan, 0.0), (math.inf, 0.0),
+                   (0.0, 0.0)):
+        with pytest.raises(ValueError):
+            MeasureUtility(m, anchor=anchor)
 
 
 def test_footnote_general_k():

@@ -625,17 +625,18 @@ def test_audit_evaluates_each_law_once_per_grid(monkeypatch):
 
 
 def test_dual_derivative_is_one_kernel_call(monkeypatch):
-    # every expectation is one call on the outcome array, never a loop
-    import cmdual.duality
+    # every expectation is one call on the outcome array, never a loop; the
+    # measure utility reaches the kernel through its DnFunction conjugate
+    import cmdual.cmcalc
 
     pair = ValueFunctionPair(footnote_utility(1), MarketModel.lognormal(1.0))
     calls = []
-    kernel = cmdual.duality.laplace_moment
+    kernel = cmdual.cmcalc.laplace_moment
 
     def counted(*args, **kwargs):
         calls.append(args)
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(cmdual.duality, "laplace_moment", counted)
+    monkeypatch.setattr(cmdual.cmcalc, "laplace_moment", counted)
     assert pair.dual_derivative(3, 1.0) < 0.0
     assert len(calls) == 1
