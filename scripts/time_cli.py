@@ -56,6 +56,16 @@ COMMANDS = {
     "cex1.small": ["cex1", "--truncations", "1000,10000"],
     "cex1.default": ["cex1"],
     "cex2": ["cex2"],
+    "solve.lognormal.csv": ["solve", "--utility", "power", "--model", "kappa",
+                            "--out", "csv"],
+    "derivatives.csv": ["derivatives", "--utility", "log", "--model", "kappa",
+                        "--out", "csv"],
+    "cex1.small.csv": ["cex1", "--truncations", "1000,10000", "--out", "csv"],
+    "cex2.csv": ["cex2", "--out", "csv"],
+    # input errors: exit 2 with nothing on stdout
+    "error.order": ["solve", "--utility", "log", "--model", "deflator",
+                    "--order", "9"],
+    "error.eps": ["cex2", "--eps", "1e-2,nan"],
 }
 
 IMPORTTIME_MODULES = ("cmdual.cli", "cmdual.dominance", "cmdual.solver",
@@ -168,7 +178,7 @@ def main():
     }
     for label, per in result["timings"].items():
         for name, s in per.items():
-            print(f"{label:>8} {name:<18} median {s['median_s']:.3f} s "
+            print(f"{label:>8} {name:<20} median {s['median_s']:.3f} s "
                   f"(quartiles {s['q1_s']:.3f}-{s['q3_s']:.3f})")
     if args.json:
         Path(args.json).write_text(json.dumps(result, indent=1) + "\n")

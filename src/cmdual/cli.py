@@ -15,13 +15,11 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .dominance import Distribution, dominates_inf, dominates_n, test_function_audit
-from .duality import UtilitySpec, footnote_utility
+from .duality import UtilitySpec
 from .errors import CmdualError
 from .solver import FiniteMarket, MarketModel, ValueFunctionPair, sd_equivalence_audit
 
@@ -29,100 +27,91 @@ MAX_ORDER = 8
 MAX_INVERT_ORDER = 16
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    inputs: dict = field(default_factory=dict)
-    order: float = 2
-    grid: tuple[float, float, int] = (0.5, 2.0, 4)
-    x: float = 1.0
-    z: float = 1.0
-    truncations: tuple[int, ...] = (10**3, 10**4, 10**5, 10**6)
-    eps: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-    n_states: int = 200
-    family_size: int = 100
-    seed: int = 0
-    out: str = "json"
-    output: Optional[str] = None
-    candidate: Optional[tuple[float, ...]] = None
-
-    def __post_init__(self):
-        cap = MAX_INVERT_ORDER if self.subcommand == "invert" else MAX_ORDER
-        if self.order == math.inf and self.subcommand not in ("dominance", "audit"):
+def _check(args) -> None:
+    """Load the JSON inputs, and convert and validate the options, in place."""
+    for key in ("F", "G", "utility", "model", "market"):
+        if getattr(args, key, None):
+            with open(getattr(args, key)) as fh:
+                setattr(args, key, json.load(fh))
+    finite = [getattr(args, key) for key in ("x", "z") if hasattr(args, key)]
+    if hasattr(args, "order"):
+        args.order = (math.inf if args.order in ("inf", "infinity")
+                      else int(args.order))
+        cap = MAX_INVERT_ORDER if args.subcommand == "invert" else MAX_ORDER
+        if args.order == math.inf and args.subcommand not in ("dominance", "audit"):
             raise ValueError("order inf applies to dominance and audit only")
-        if self.order != math.inf and not (1 <= self.order <= cap):
+        if args.order != math.inf and not (1 <= args.order <= cap):
             raise ValueError(f"order must lie in 1..{cap}")
-        a, b, steps = self.grid
-        if not all(map(math.isfinite, (self.x, self.z, a, b, *self.eps,
-                                       *(self.candidate or ())))):
-            raise ValueError("x, z, grid ends, eps and candidate must be finite")
+    if hasattr(args, "grid"):
+        a, b, steps = args.grid.split(":")
+        args.grid = (float(a), float(b), int(steps))
+        a, b, steps = args.grid
+        finite += [a, b]
         if not (a < b and steps >= 2):
             raise ValueError("grid must satisfy a < b and steps >= 2")
-        if self.family_size < 1:
-            raise ValueError("family size must be >= 1")
-        if self.out not in ("json", "csv"):
-            raise ValueError("out must be json or csv")
-        if any(e <= 0 for e in self.eps):
+    if hasattr(args, "truncations"):
+        args.truncations = tuple(int(float(v))
+                                 for v in args.truncations.split(","))
+    if hasattr(args, "eps"):
+        args.eps = tuple(float(v) for v in args.eps.split(","))
+        finite += args.eps
+        if any(e <= 0 for e in args.eps):
             raise ValueError("eps values must be positive")
+    if hasattr(args, "candidate"):
+        args.candidate = (tuple(float(v) for v in args.candidate.split(","))
+                          if args.candidate else None)
+        finite += args.candidate or ()
+    if not all(map(math.isfinite, finite)):
+        raise ValueError("x, z, grid ends, eps and candidate must be finite")
+    if getattr(args, "family_size", 1) < 1:
+        raise ValueError("family size must be >= 1")
 
 
-def _parse_order(text: str) -> float:
-    return math.inf if text in ("inf", "infinity") else int(text)
-
-
-def _parse_grid(text: str) -> tuple[float, float, int]:
-    a, b, steps = text.split(":")
-    return float(a), float(b), int(steps)
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
-
-
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _emit(cfg: RunConfig, text: str):
-    if not text.endswith("\n"):
-        text += "\n"
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+def _emit(args, payload, table=None):
+    """Write ``table`` = (header, rows) as CSV under ``--out csv``, and
+    ``payload`` as JSON otherwise, to ``--output`` or stdout."""
+    if table is not None and args.out == "csv":
+        header, rows = table
+        text = "\n".join([",".join(header),
+                          *(",".join("%.17g" % v for v in row) for row in rows)])
+    else:
+        text = json.dumps(payload, sort_keys=True, indent=1)
+    text += "\n"
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1)
+def _table(header, rows):
+    """The JSON payload of a table, and the table for CSV."""
+    rows = [[float(v) for v in row] for row in rows]
+    return {"columns": header, "rows": rows}, (header, rows)
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("%.17g" % v for v in row))
-    return "\n".join(lines)
+def _pair(args) -> ValueFunctionPair:
+    return ValueFunctionPair(UtilitySpec.from_dict(args.utility),
+                             MarketModel.from_dict(args.model))
 
 
-def _run_dominance(cfg: RunConfig) -> int:
-    F = Distribution.from_dict(cfg.inputs["F"])
-    G = Distribution.from_dict(cfg.inputs["G"])
-    if cfg.order == math.inf:
+def _run_dominance(args) -> int:
+    F = Distribution.from_dict(args.F)
+    G = Distribution.from_dict(args.G)
+    if args.order == math.inf:
         verdict = dominates_inf(F, G)
     else:
-        verdict = dominates_n(F, G, int(cfg.order))
-    _emit(cfg, _json_text(verdict.to_dict()))
+        verdict = dominates_n(F, G, args.order)
+    _emit(args, verdict.to_dict())
     return 0 if verdict.dominates else 1
 
 
-def _run_audit(cfg: RunConfig) -> int:
-    F = Distribution.from_dict(cfg.inputs["F"])
-    G = Distribution.from_dict(cfg.inputs["G"])
-    report = test_function_audit(F, G, cfg.order, cfg.family_size, cfg.seed)
-    payload = {"ok": report.ok, "tested": report.tested,
-               "counterexample": report.counterexample}
-    _emit(cfg, _json_text(payload))
+def _run_audit(args) -> int:
+    F = Distribution.from_dict(args.F)
+    G = Distribution.from_dict(args.G)
+    report = test_function_audit(F, G, args.order, args.family_size, args.seed)
+    _emit(args, {"ok": report.ok, "tested": report.tested,
+                 "counterexample": report.counterexample})
     return 0 if report.ok else 1
 
 
@@ -135,92 +124,64 @@ def _solve_row(pair: ValueFunctionPair, order: int, x: float) -> list[float]:
     return row
 
 
-def _run_solve(cfg: RunConfig) -> int:
-    utility = UtilitySpec.from_dict(cfg.inputs["utility"])
-    model = MarketModel.from_dict(cfg.inputs["model"])
-    pair = ValueFunctionPair(utility, model)
-    order = int(cfg.order)
-    a, b, steps = cfg.grid
-    xs = np.linspace(a, b, steps)
-    rows = [_solve_row(pair, order, x) for x in xs]
+def _run_solve(args) -> int:
+    pair = _pair(args)
+    order = args.order
+    rows = [_solve_row(pair, order, x) for x in np.linspace(*args.grid)]
     header = (["x", "u"] + [f"u_{k}" for k in range(1, order + 1)]
               + ["y", "v"] + [f"v_{k}" for k in range(1, order + 1)])
-    if cfg.out == "csv":
-        _emit(cfg, _csv_text(header, rows))
-    else:
-        _emit(cfg, _json_text({"columns": header,
-                               "rows": [list(r) for r in rows]}))
+    _emit(args, *_table(header, rows))
     return 0
 
 
-def _run_derivatives(cfg: RunConfig) -> int:
-    utility = UtilitySpec.from_dict(cfg.inputs["utility"])
-    model = MarketModel.from_dict(cfg.inputs["model"])
-    pair = ValueFunctionPair(utility, model)
-    order = int(cfg.order)
-    terminal = pair.optimizer_terminal(cfg.x)
-    tables = {n: pair.optimizer_derivative(n, cfg.x).values
-              for n in range(1, order + 1)}
-    header = ["deflator", "weight", "x_hat"] + [f"d{n}" for n in tables]
-    rows = [
-        [terminal.deflator[i], terminal.weights[i], terminal.values[i]]
-        + [tables[n][i] for n in tables]
-        for i in range(terminal.deflator.size)
-    ]
-    if cfg.out == "csv":
-        _emit(cfg, _csv_text(header, rows))
-    else:
-        _emit(cfg, _json_text({"columns": header,
-                               "rows": [list(map(float, r)) for r in rows]}))
+def _run_derivatives(args) -> int:
+    pair = _pair(args)
+    terminal = pair.optimizer_terminal(args.x)
+    tables = [pair.optimizer_derivative(n, args.x).values
+              for n in range(1, args.order + 1)]
+    header = ["deflator", "weight", "x_hat"] + [
+        f"d{n}" for n in range(1, args.order + 1)]
+    rows = zip(terminal.deflator, terminal.weights, terminal.values, *tables)
+    _emit(args, *_table(header, rows))
     return 0
 
 
-def _run_invert(cfg: RunConfig) -> int:
-    utility = UtilitySpec.from_dict(cfg.inputs["utility"])
-    model = MarketModel.from_dict(cfg.inputs["model"])
-    pair = ValueFunctionPair(utility, model)
-    mass = pair.widder_invert(cfg.z, int(cfg.order))
-    _emit(cfg, _json_text({"z": cfg.z, "order": int(cfg.order), "mass": mass}))
+def _run_invert(args) -> int:
+    mass = _pair(args).widder_invert(args.z, args.order)
+    _emit(args, {"z": args.z, "order": args.order, "mass": mass})
     return 0
 
 
-def _run_cex1(cfg: RunConfig) -> int:
+def _run_cex1(args) -> int:
     from . import counterexamples as cex
 
-    truncations = cex.check_truncations(cfg.truncations)  # before any work
-    inst = cex.Cex1Instance(order=int(cfg.order), n_trunc=truncations[-1])
+    truncations = cex.check_truncations(args.truncations)  # before any work
+    inst = cex.Cex1Instance(order=args.order, n_trunc=truncations[-1])
     finite = {str(k): v for k, v in cex.cex1_verify_finite(inst).items()}
     report = cex.cex1_divergence(inst, truncations)
     payload = report.to_dict()
     payload["finite_orders_at_1"] = finite
-    if cfg.out == "csv":
-        rows = list(zip(report.truncations, report.partial_sums))
-        _emit(cfg, _csv_text(["truncation", "partial_sum"], rows))
-    else:
-        _emit(cfg, _json_text(payload))
+    _emit(args, payload, (["truncation", "partial_sum"],
+                          zip(report.truncations, report.partial_sums)))
     # divergence is the expected verdict: report it, exit 0
     return 0 if report.diverges else 1
 
 
-def _run_cex2(cfg: RunConfig) -> int:
+def _run_cex2(args) -> int:
     from .counterexamples import cex2_build, cex2_gap
 
-    utility = (UtilitySpec.from_dict(cfg.inputs["utility"])
-               if "utility" in cfg.inputs else footnote_utility(1))
-    inst = cex2_build(utility, cfg.n_states)
-    report = cex2_gap(inst, cfg.eps)
-    if cfg.out == "csv":
-        rows = list(zip(report.eps, report.d_plus, report.d_minus))
-        _emit(cfg, _csv_text(["eps", "d_plus", "d_minus"], rows))
-    else:
-        _emit(cfg, _json_text(report.to_dict()))
+    utility = UtilitySpec.from_dict(args.utility) if args.utility else None
+    report = cex2_gap(cex2_build(utility, args.n_states), args.eps)
+    _emit(args, report.to_dict(),
+          (["eps", "d_plus", "d_minus"],
+           zip(report.eps, report.d_plus, report.d_minus)))
     return 0 if report.gap > 0 else 1
 
 
-def _run_sd_equiv(cfg: RunConfig) -> int:
-    fm = FiniteMarket.from_dict(cfg.inputs["market"])
-    report = sd_equivalence_audit(fm, candidate=cfg.candidate)
-    _emit(cfg, _json_text(report.to_dict()))
+def _run_sd_equiv(args) -> int:
+    fm = FiniteMarket.from_dict(args.market)
+    report = sd_equivalence_audit(fm, candidate=args.candidate)
+    _emit(args, report.to_dict())
     ok = report.all_agree or not report.maximal_exists
     return 0 if ok else 1
 
@@ -235,18 +196,6 @@ _RUNNERS = {
     "cex2": _run_cex2,
     "sd-equiv": _run_sd_equiv,
 }
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit code."""
-    try:
-        return _RUNNERS[cfg.subcommand](cfg)
-    except (CmdualError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (KeyError, ValueError, TypeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
 
 
 @functools.cache
@@ -314,43 +263,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    inputs = {key: _load_json(getattr(args, key))
-              for key in ("F", "G", "utility", "model", "market")
-              if getattr(args, key, None)}
-    kw = dict(
-        subcommand=args.subcommand,
-        inputs=inputs,
-        out=args.out,
-        output=args.output,
-    )
-    if hasattr(args, "order"):
-        kw["order"] = _parse_order(args.order)
-    if hasattr(args, "grid"):
-        kw["grid"] = _parse_grid(args.grid)
-    for key in ("x", "z", "n_states", "family_size", "seed"):
-        if hasattr(args, key):
-            kw[key] = getattr(args, key)
-    if getattr(args, "truncations", None):
-        kw["truncations"] = tuple(int(float(v))
-                                  for v in args.truncations.split(","))
-    if getattr(args, "eps", None):
-        kw["eps"] = _parse_floats(args.eps)
-    if getattr(args, "candidate", None):
-        kw["candidate"] = _parse_floats(args.candidate)
-    return RunConfig(**kw)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; returns the process exit code."""
+    args = _build_parser().parse_args(argv)
     # a JSONDecodeError is a ValueError; int(inf) in --truncations overflows
     try:
-        cfg = _config_from_args(args)
+        _check(args)
     except (OSError, ValueError, KeyError, OverflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    try:
+        return _RUNNERS[args.subcommand](args)
+    except (CmdualError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except (KeyError, ValueError, TypeError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -83,9 +83,13 @@ class Distribution:
     def mean(self):
         raise NotImplementedError
 
+    def rule(self, probe) -> QuadratureRule:
+        """Outcomes and weights for E[probe(xi)], and that expectation."""
+        raise NotImplementedError
+
     def expectation(self, fn):
         """E[fn(xi)]; ``fn`` maps an outcome array to per-outcome values."""
-        raise NotImplementedError
+        return float(self.rule(fn).value)
 
     def quantile_knots(self, count):
         raise NotImplementedError
@@ -140,17 +144,14 @@ class Discrete(Distribution):
     def point(cls, x: float) -> "Discrete":
         return cls((x,), (1.0,))
 
-    def _arrays(self):
-        return self._xp
-
     def cdf(self, y):
-        xs, ps = self._arrays()
+        xs, ps = self._xp
         y = np.asarray(y, dtype=float)
         return (xs[:, None] <= y[None, :]).T @ ps if y.ndim else float(
             ps[xs <= y].sum())
 
     def iterated(self, n, ys):
-        xs, ps = self._arrays()
+        xs, ps = self._xp
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if n == 1:
             out = (xs[None, :] <= ys[:, None]) @ ps
@@ -160,19 +161,19 @@ class Discrete(Distribution):
         return out
 
     def laplace(self, z):
-        xs, ps = self._arrays()
+        xs, ps = self._xp
         z = np.asarray(z, dtype=float)
         if z.ndim == 0:
             return float(np.dot(ps, np.exp(-float(z) * xs)))
         return np.exp(-z[:, None] * xs[None, :]) @ ps
 
     def mean(self):
-        xs, ps = self._arrays()
+        xs, ps = self._xp
         return float(np.dot(xs, ps))
 
-    def expectation(self, fn):
-        xs, ps = self._arrays()
-        return float(ps @ fn(xs))
+    def rule(self, probe) -> QuadratureRule:
+        xs, ps = self._xp
+        return QuadratureRule(xs, ps, ps @ probe(xs))
 
     def quantile_knots(self, count=0):
         return np.asarray(self.xs)
@@ -270,9 +271,6 @@ class Lognormal(Distribution):
     def mean(self):
         return math.exp(self.m + self.s2 / 2.0)
 
-    def expectation(self, fn):
-        return float(self.rule(fn).value)
-
     def quantile_knots(self, count=33):
         us = np.linspace(1e-6, 1.0 - 1e-6, count)
         return np.exp(self.m + self.s * ndtri(us))
@@ -360,7 +358,7 @@ def discrete_witness_table(rows, cols, n: int) -> np.ndarray:
     """
     laws, ri, ci = _distinct(rows, cols)
     sizes = [len(law.xs) for law in laws]
-    knots, at = np.unique(np.concatenate([*(law._arrays()[0] for law in laws),
+    knots, at = np.unique(np.concatenate([*(law._xp[0] for law in laws),
                                           [0.0]]), return_inverse=True)
     # tab[l, r]: F_(n-r) of law l at every knot; own[l]: law l's knots
     tab = np.array([[law.iterated(n - r, knots) for r in range(n)]

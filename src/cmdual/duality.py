@@ -154,9 +154,8 @@ class UtilitySpec:
                                   anchor=anchor)
         if kind == "finite_order":
             mix = d["mixture"]
-            V = DnFunction.exponential_mixture(mix["z"], mix["c"],
-                                               order=int(d["n"]))
-            return FiniteOrderUtility(V)
+            return FiniteOrderUtility(DnFunction.exponential_mixture(
+                mix["z"], mix["c"], order=d["n"]))
         raise ValueError(f"unknown utility kind {kind!r}")
 
 

@@ -224,6 +224,19 @@ class StateTable:
         return float(np.dot(self.weights, vals))
 
 
+def _chain_rule(m: int, outer, inner):
+    """m-th derivative of g(h) by the Faa di Bruno partition sum, from
+    outer[k] = g^(k)(h) and inner[j] = h^(j), scalars or outcome arrays."""
+    total = 0.0
+    for ks in multiplicity_partitions(m):
+        prod = 1.0
+        for j, k in enumerate(ks, start=1):
+            if k:
+                prod = prod * inner[j] ** k
+        total = total + faa_di_bruno_coefficient(m, ks) * outer[sum(ks)] * prod
+    return total
+
+
 class ValueFunctionPair:
     """Dual/primal value functions bound to a utility and a market model.
 
@@ -237,16 +250,11 @@ class ValueFunctionPair:
         self.model = model
         self.faa_order_cap = faa_order_cap
         self._marginal_cache: dict[float, float] = {}
-        law = model.deflator_law
-        if isinstance(law, Discrete):
-            self._outcomes = np.asarray(law.xs)
-            self._weights = np.asarray(law.ps)
-        else:
-            # the nodes on which the dual probe E[V(Y)] settles; a
-            # non-finite probe means the expectation diverges and more nodes
-            # cannot help
-            rule = law.rule(utility.conjugate)
-            self._outcomes, self._weights = rule.nodes, rule.weights
+        # a discrete law's states, or the nodes on which the dual probe
+        # E[V(Y)] settles; a non-finite probe means the expectation diverges
+        # and more nodes cannot help
+        rule = model.deflator_law.rule(utility.conjugate)
+        self._outcomes, self._weights = rule.nodes, rule.weights
 
     # -- dual side -----------------------------------------------------------
 
@@ -339,17 +347,8 @@ class ValueFunctionPair:
             return derivs
         f = self._reciprocal_derivatives(y, max(0, n - 2))
         for r in range(2, n + 1):
-            m = r - 2
-            total = 0.0
-            for ks in multiplicity_partitions(m):
-                coeff = faa_di_bruno_coefficient(m, ks)
-                order = sum(ks)
-                prod = 1.0
-                for j, k in enumerate(ks, start=1):
-                    if k:
-                        prod *= derivs[j] ** k  # derivs[j] = u^(j+1)
-                total += coeff * f[order] * prod
-            derivs.append(total)
+            # derivs[j] = u^(j+1) is the j-th derivative of u'
+            derivs.append(_chain_rule(r - 2, f, derivs))
         return derivs
 
     def primal_derivative(self, n: int, x: float) -> float:
@@ -387,19 +386,11 @@ class ValueFunctionPair:
                 f"raise faa_order_cap to go higher")
         if n + 1 > self.utility.max_order:
             raise OrderExceeded("need V up to order n+1")
-        uderivs = self.primal_derivatives(n + 1, x)
-        y = uderivs[0]
-        out = np.zeros_like(self._outcomes)
-        for ks in multiplicity_partitions(n):
-            coeff = faa_di_bruno_coefficient(n, ks)
-            order = sum(ks)
-            vk = -self.utility.conjugate_derivative(1 + order,
-                                                    y * self._outcomes)
-            prod = np.ones_like(out)
-            for j, k in enumerate(ks, start=1):
-                if k:
-                    prod = prod * (uderivs[j] * self._outcomes) ** k
-            out = out + coeff * vk * prod
+        inner = [u * self._outcomes for u in self.primal_derivatives(n + 1, x)]
+        # outer[k] = -V^(1+k)(u'(x) Y); no partition of n >= 1 reads outer[0]
+        outer = [None] + [-self.utility.conjugate_derivative(1 + k, inner[0])
+                          for k in range(1, n + 1)]
+        out = _chain_rule(n, outer, inner)
         return StateTable(self._outcomes, self._weights, out)
 
     # -- measure recovery -------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -241,6 +242,13 @@ NON_FINITE = {
     "nan_payoffs": {**MARKET, "payoffs": [NAN, 0.8, 1.5, 2.0]},
     "nan_s0": {**MARKET, "s0": NAN},
 }
+MIXTURE = {"kind": "finite_order", "n": 4,
+           "mixture": {"z": [1.0, 2.0], "c": [1.0, 0.5]}}
+# a finite_order spec's n must be an integral number >= 1, not 2.5,
+# infinity or a string
+BAD_ORDER = {"order_half": {**MIXTURE, "n": 2.5},
+             "order_inf": {**MIXTURE, "n": math.inf},
+             "order_text": {**MIXTURE, "n": "4"}}
 
 
 @pytest.fixture
@@ -251,15 +259,13 @@ def discrete_inputs(tmp_path):
                                    "p": [0.2, 0.5, 0.3]})
     deflator = write(tmp_path, "deflator.json", {"deflator": {
         "kind": "discrete", "x": [0.8, 1.0, 1.3], "p": [0.3, 0.4, 0.3]}})
-    mixture = write(tmp_path, "mixture.json", {
-        "kind": "finite_order", "n": 4,
-        "mixture": {"z": [1.0, 2.0], "c": [1.0, 0.5]}})
+    mixture = write(tmp_path, "mixture.json", MIXTURE)
     market = write(tmp_path, "market.json", MARKET)
     return {"F": F, "G": G, "deflator": deflator, "mixture": mixture,
             "log": write(tmp_path, "log.json", {"kind": "log"}),
             "market": market,
             **{name: write(tmp_path, f"{name}.json", payload)
-               for name, payload in NON_FINITE.items()}}
+               for name, payload in {**NON_FINITE, **BAD_ORDER}.items()}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -293,6 +299,8 @@ MODEL = ["--utility", "log", "--model", "deflator"]
     ["cex1", "--truncations", "0,1000,10000"],
     ["cex1", "--truncations", "10000"],
     ["cex2", "--eps", "1e-2,nan"],
+    ["cex2", "--eps", ""],
+    ["cex1", "--truncations", ""],
     ["sd-equiv", "--market", "market", "--candidate", "inf,1,1,1"],
     ["audit", "F", "G", "--family-size", "0"],
     ["dominance", "nan_x", "G", "--order", "2"],
@@ -308,16 +316,21 @@ MODEL = ["--utility", "log", "--model", "deflator"]
     ["sd-equiv", "--market", "nan_probs"],
     ["sd-equiv", "--market", "nan_payoffs"],
     ["sd-equiv", "--market", "nan_s0"],
+    ["solve", "--utility", "order_half", "--model", "deflator"],
+    ["solve", "--utility", "order_inf", "--model", "deflator"],
+    ["solve", "--utility", "order_text", "--model", "deflator"],
 ], ids=["solve-order-inf", "derivatives-order-inf", "invert-order-inf",
         "cex1-order-inf", "invert-z-inf", "invert-z-nan", "derivatives-x-nan",
         "derivatives-x-inf", "solve-grid-inf", "cex1-truncation-inf",
         "cex1-truncation-zero", "cex1-single-truncation",
-        "cex2-eps-nan", "sd-equiv-candidate-inf", "audit-family-size-0",
+        "cex2-eps-nan", "cex2-eps-empty", "cex1-truncations-empty",
+        "sd-equiv-candidate-inf", "audit-family-size-0",
         "dominance-nan-support", "dominance-nan-probability",
         "dominance-nan-sample", "dominance-nan-lognormal", "solve-nan-anchor",
         "solve-nan-atom", "solve-nan-piece", "solve-nan-power",
         "solve-nan-mixture", "solve-nan-kappa",
-        "sd-equiv-nan-probability", "sd-equiv-nan-payoff", "sd-equiv-nan-s0"])
+        "sd-equiv-nan-probability", "sd-equiv-nan-payoff", "sd-equiv-nan-s0",
+        "solve-spec-n-half", "solve-spec-n-inf", "solve-spec-n-text"])
 def test_invalid_options_are_input_errors(discrete_inputs, argv, capsys):
     argv = [discrete_inputs.get(a, a) for a in argv]
     with warnings.catch_warnings(record=True) as caught:
@@ -326,6 +339,56 @@ def test_invalid_options_are_input_errors(discrete_inputs, argv, capsys):
     assert code == 2
     assert capsys.readouterr().out == ""
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def run_argv(discrete_inputs, argv, capsys):
+    code = main([discrete_inputs.get(a, a) for a in argv])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["dominance", "F", "G", "--order", "2"],
+    ["audit", "F", "G"],
+    ["invert", *MODEL, "--z", "1"],
+    ["sd-equiv", "--market", "market"],
+], ids=["dominance", "audit", "invert", "sd-equiv"])
+def test_csv_is_json_without_a_table(discrete_inputs, argv, capsys):
+    json_out = run_argv(discrete_inputs, argv, capsys)
+    assert run_argv(discrete_inputs, [*argv, "--out", "csv"], capsys) == json_out
+    assert json.loads(json_out[1])
+
+
+@pytest.mark.parametrize("argv, header, rows", [
+    (["cex1", "--truncations", "100,1000"], "truncation,partial_sum", 2),
+    (["cex2", "--N", "40", "--eps", "1e-2,1e-3"], "eps,d_plus,d_minus", 2),
+    (["derivatives", *MODEL, "--order", "3"],
+     "deflator,weight,x_hat,d1,d2,d3", 3),
+], ids=["cex1", "cex2", "derivatives"])
+def test_csv_headers(discrete_inputs, argv, header, rows, capsys):
+    code, out = run_argv(discrete_inputs, [*argv, "--out", "csv"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == header and len(lines) == rows + 1
+    assert all(len(line.split(",")) == header.count(",") + 1 for line in lines)
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["dominance", "F", "G"], ["--order", "inf"]),
+    (["audit", "F", "G"], ["--order", "2", "--family-size", "100",
+                           "--seed", "0"]),
+    (["solve", *MODEL], ["--order", "4", "--grid", "0.5:2:4"]),
+    (["derivatives", *MODEL], ["--order", "2", "--x", "1.0"]),
+    (["invert", *MODEL, "--z", "1"], ["--order", "8"]),
+    (["cex1", "--truncations", "100,1000"], ["--order", "2"]),
+    (["cex2", "--N", "40"], ["--eps", "1e-2,1e-3,1e-4"]),
+    (["sd-equiv", "--market", "market"], ["--out", "json"]),
+], ids=["dominance", "audit", "solve", "derivatives", "invert", "cex1",
+        "cex2", "sd-equiv"])
+def test_spelled_out_defaults_change_nothing(discrete_inputs, argv, defaults,
+                                             capsys):
+    implicit = run_argv(discrete_inputs, argv, capsys)
+    assert run_argv(discrete_inputs, [*argv, *defaults], capsys) == implicit
+    assert implicit[1]
 
 
 def test_bad_cex1_truncations_are_refused_before_any_work(monkeypatch, capsys):

@@ -640,3 +640,24 @@ def test_dual_derivative_is_one_kernel_call(monkeypatch):
     monkeypatch.setattr(cmdual.cmcalc, "laplace_moment", counted)
     assert pair.dual_derivative(3, 1.0) < 0.0
     assert len(calls) == 1
+
+
+def test_optimizer_derivative_takes_one_kernel_call_per_order(monkeypatch):
+    # the outcome-wise chain rule reads -V^(1+k)(u'(x) Y) once for each
+    # k <= n, not once for each partition of n (5 of them at n = 4)
+    pair = ValueFunctionPair(LOG, TWO_POINT)
+    pair.primal_marginal(1.0)
+    calls = []
+    kernel = LogUtility.conjugate_derivative
+
+    def counted(self, k, y):
+        calls.append(k)
+        return kernel(self, k, y)
+
+    monkeypatch.setattr(LogUtility, "conjugate_derivative", counted)
+    pair.primal_derivatives(5, 1.0)
+    primal = list(calls)
+    calls.clear()
+    pair.optimizer_derivative(4, 1.0)
+    # optimizer_derivative(4) starts from primal_derivatives(5)
+    assert calls == primal + [2, 3, 4, 5]
