@@ -3,7 +3,9 @@
 
 Every command runs as ``python -m cmdual.cli ...`` (and ``import`` as
 ``python -c "import cmdual.cli"``), so a time covers interpreter start,
-imports and the work itself.  Inputs are fixed and written to a temporary
+imports and the work itself.  ``import.floor`` times the import of numpy,
+``numpy.polynomial`` and the stdlib modules cmdual uses: the start-up no
+command can go below.  Inputs are fixed and written to a temporary
 directory.  Given several source trees (``--src LABEL=PATH``, repeatable),
 each round times every command once per tree, rotating which tree goes
 first, and the output records whether all trees printed the same stdout and
@@ -66,6 +68,13 @@ COMMANDS = {
     "error.order": ["solve", "--utility", "log", "--model", "deflator",
                     "--order", "9"],
     "error.eps": ["cex2", "--eps", "1e-2,nan"],
+}
+
+# name -> Python source run with -c
+SCRIPTS = {
+    "import.floor": "import numpy, numpy.polynomial.polynomial, argparse, json, "
+                    "dataclasses, functools, itertools, typing",
+    "import": "import cmdual.cli",
 }
 
 IMPORTTIME_MODULES = ("cmdual.cli", "cmdual.dominance", "cmdual.solver",
@@ -133,7 +142,7 @@ def main():
     default = f"src={Path(__file__).resolve().parent.parent / 'src'}"
     trees = {label: Path(path).resolve() for label, path in
              (s.split("=", 1) for s in args.src or [default])}
-    names = ["import", *COMMANDS]
+    names = [*SCRIPTS, *COMMANDS]
     times = {label: {name: [] for name in names} for label in trees}
     outputs = {name: set() for name in names}
     imports = {label: {} for label in trees}
@@ -146,8 +155,8 @@ def main():
         labels = list(trees)
         for run in range(args.runs):
             for name in names:
-                argv = ([sys.executable, "-c", "import cmdual.cli"]
-                        if name == "import" else
+                argv = ([sys.executable, "-c", SCRIPTS[name]]
+                        if name in SCRIPTS else
                         [sys.executable, "-m", "cmdual.cli",
                          *(files.get(a, a) for a in COMMANDS[name])])
                 for k in range(len(labels)):
@@ -165,8 +174,8 @@ def main():
                     "platform": platform.platform()},
         "runs": args.runs,
         "sources": list(trees),
-        "commands": {name: COMMANDS.get(name, ["-c", "import cmdual.cli"])
-                     for name in names},
+        "commands": {name: (["-c", SCRIPTS[name]] if name in SCRIPTS
+                            else COMMANDS[name]) for name in names},
         "same_output": {name: len(seen) == 1 for name, seen in outputs.items()},
         "exit_codes": {name: sorted({code for code, _ in seen})
                        for name, seen in outputs.items()},

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dominance import Distribution, dominates_inf, dominates_n, test_function_audit
 from .duality import UtilitySpec
-from .errors import CmdualError
+from .errors import CmdualError, ConstantRRA, OrderExceeded
 from .solver import FiniteMarket, MarketModel, ValueFunctionPair, sd_equivalence_audit
 
 MAX_ORDER = 8
@@ -274,12 +274,14 @@ def main(argv=None) -> int:
         return 2
     try:
         return _RUNNERS[args.subcommand](args)
+    # an order the utility lacks, or a constant-RRA utility for cex2, is a
+    # fault of the request, not of the numerics
+    except (OrderExceeded, ConstantRRA, KeyError, ValueError, TypeError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     except (CmdualError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (KeyError, ValueError, TypeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyroots, polyval
-from scipy.special import log_ndtr, ndtr, ndtri, roots_hermite
 
+from . import _special as special
 from .cmcalc import DnFunction
 from .errors import QuadratureFailure
 
@@ -53,7 +53,7 @@ def _read_only(a):
 @lru_cache(maxsize=None)
 def _hermite_rule(n: int):
     """n-point Gauss-Hermite nodes and weights, weights divided by sqrt(pi)."""
-    t, w = roots_hermite(n)
+    t, w = special.roots_hermite(n)
     w = w / math.sqrt(math.pi)
     t.flags.writeable = w.flags.writeable = False
     return t, w
@@ -209,7 +209,7 @@ class Lognormal(Distribution):
 
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
-        out = np.where(y > 0, ndtr(self._score(y)), 0.0)
+        out = np.where(y > 0, special.ndtr(self._score(y)), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def _score(self, y):
@@ -231,7 +231,7 @@ class Lognormal(Distribution):
         signs = np.array([(-1.0) ** j * math.comb(n - 1, j) for j in k])
         logy = np.log(np.where(ys > 0, ys, 1.0))[:, None]
         logs = ((n - 1 - k) * logy + k * self.m + k**2 * self.s2 / 2.0
-                + log_ndtr(self._score(ys)[:, None] - k * self.s))
+                + special.log_ndtr(self._score(ys)[:, None] - k * self.s))
         out = np.exp(logs) @ signs / math.factorial(n - 1)
         return np.where(ys > 0, out, 0.0)
 
@@ -273,7 +273,7 @@ class Lognormal(Distribution):
 
     def quantile_knots(self, count=33):
         us = np.linspace(1e-6, 1.0 - 1e-6, count)
-        return np.exp(self.m + self.s * ndtri(us))
+        return np.exp(self.m + self.s * special.ndtri(us))
 
     def to_dict(self):
         return {"kind": "lognormal", "m": self.m, "s2": self.s2}

@@ -72,9 +72,14 @@ def invert_decreasing(fn, dfn, target):
         above = f > 0
         lo = _where(above, y, lo)
         hi = _where(above, hi, y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = y - f / dfn(y)
-        # a zero or non-finite slope gives a step outside the bracket
+        # a zero or non-finite slope gives a step outside the bracket; only
+        # an array needs numpy's warnings about it silenced
+        slope = dfn(y)
+        if np.ndim(slope) == 0:
+            step = y - f / slope if slope != 0.0 else math.inf
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = y - f / slope
         step = _where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
         y = _where(active, step, y)
     return float(y) if np.ndim(y) == 0 else y

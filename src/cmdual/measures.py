@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gammainc, gammaincc, gammaln
 
+from . import _special as special
 from .errors import InvalidMeasure, NonIntegrable
 
 __all__ = [
@@ -168,23 +168,18 @@ def _gamma_interval(q: float, x1, x2):
     """Incomplete-gamma mass P(q, x2) - P(q, x1) for q > 0, elementwise."""
     # the upper and lower forms are equal in exact arithmetic; take the one
     # computed from the larger operands to limit cancellation
-    upper_x1 = gammaincc(q, x1)
-    return np.where(upper_x1 > 0.5, upper_x1 - gammaincc(q, x2),
-                    gammainc(q, x2) - gammainc(q, x1))
+    upper_x1 = special.gammaincc(q, x1)
+    return np.where(upper_x1 > 0.5, upper_x1 - special.gammaincc(q, x2),
+                    special.gammainc(q, x2) - special.gammainc(q, x1))
 
 
 def _power_exp_integral(p: float, s, lo: float, hi: float):
-    """Integral of z**p * exp(-s*z) over [lo, hi], elementwise in s >= 0.
+    """Integral of z**p * exp(-s*z) over [lo, hi], elementwise in s.
 
-    Raises OverflowError where the result exceeds the double range.
+    The caller has validated the rates, s > 0, and integrability at 0,
+    lo > 0 or p > -1.  Raises OverflowError where the result exceeds the
+    double range.
     """
-    s = np.asarray(s, dtype=float)[()]
-    if lo == 0.0 and p <= -1.0:
-        raise NonIntegrable(f"z**{p} not integrable at 0")
-    zero = s == 0.0
-    if _any(zero):  # no decay there: the plain power integral (hi < inf)
-        return np.where(zero, _power_integral(p, lo, hi),
-                        _power_exp_integral(p, np.where(zero, 1.0, s), lo, hi))
     if p <= -1.0:
         # no incomplete-gamma form with q > 0: one quadrature per rate
         from scipy import integrate
@@ -192,7 +187,7 @@ def _power_exp_integral(p: float, s, lo: float, hi: float):
             lambda z: z**p * math.exp(-r * z), lo, hi, epsabs=_QUAD_TOL,
             epsrel=_QUAD_TOL, limit=200)[0], otypes=[float])(s)
     q = p + 1.0
-    log_full = gammaln(q) - q * np.log(s)
+    log_full = special.gammaln(q) - q * np.log(s)
     if _any(log_full > _LOG_MAX):
         raise OverflowError("moment exceeds the double range")
     full = np.exp(log_full)
@@ -237,7 +232,10 @@ def laplace_moment(m: BernsteinMeasure, x, k: int = 0):
         If a moment exceeds the double range.
     """
     x = np.asarray(x, dtype=float)[()]
-    if _any(x < 0):
+    # the rates are checked once here: a piece with decay b > 0, or any
+    # piece when every x > 0, then has only positive rates x + b
+    zero_rate = _any(x <= 0)
+    if zero_rate and _any(x < 0):
         raise ValueError("x must be >= 0")
     if k < 0 or k != int(k):
         raise ValueError("k must be a nonnegative integer")
@@ -246,11 +244,19 @@ def laplace_moment(m: BernsteinMeasure, x, k: int = 0):
     for z, w in m.atoms:
         total = total + w * z**k * np.exp(-x * z)
     for p in m.pieces:
-        s = x + p.b
-        if math.isinf(p.hi) and p.a + k >= -1.0 and _any(s == 0.0):
-            raise NonIntegrable("kernel does not decay and the piece has an "
-                                "infinite-mass tail at x = 0")
-        total = total + p.c * _power_exp_integral(p.a + k, s, p.lo, p.hi)
+        s, power = x + p.b, p.a + k
+        if zero_rate and p.b == 0.0:
+            if math.isinf(p.hi) and power >= -1.0:
+                raise NonIntegrable("kernel does not decay and the piece has "
+                                    "an infinite-mass tail at x = 0")
+            # no decay at x = 0: the plain power integral there (hi < inf)
+            zero = s == 0.0
+            term = np.where(zero, _power_integral(power, p.lo, p.hi),
+                            _power_exp_integral(power, np.where(zero, 1.0, s),
+                                                p.lo, p.hi))
+        else:
+            term = _power_exp_integral(power, s, p.lo, p.hi)
+        total = total + p.c * term
     return float(total) if x.ndim == 0 else total
 
 
@@ -264,9 +270,9 @@ def _piece_exp_difference(p: DensityPiece, s1, s2: float):
     if a == 0.0:
         # 1/t weight: individually log-divergent at 0, the difference is not
         if lo == 0.0:
-            return np.log(s2 / s1) - exp1(s1 * hi) + exp1(s2 * hi)
-        return (exp1(s1 * lo) - exp1(s1 * hi)
-                - exp1(s2 * lo) + exp1(s2 * hi))
+            return np.log(s2 / s1) - special.exp1(s1 * hi) + special.exp1(s2 * hi)
+        return (special.exp1(s1 * lo) - special.exp1(s1 * hi)
+                - special.exp1(s2 * lo) + special.exp1(s2 * hi))
 
     # -1 < a < 0: integrate by parts once; the boundary term vanishes at 0, inf
     def boundary(t):

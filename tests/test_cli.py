@@ -199,15 +199,17 @@ HEAVY_MODULES = ("scipy.stats", "scipy.integrate", "scipy.optimize",
 
 
 def loaded_after(argv=None):
-    """Which of HEAVY_MODULES a fresh interpreter holds after importing
-    cmdual.cli and, given ``argv``, running that command."""
+    """Which of HEAVY_MODULES, and which other scipy modules, a fresh
+    interpreter holds after importing cmdual.cli and, given ``argv``,
+    running that command."""
     code = ("import contextlib, io, json, sys\n"
             "from cmdual.cli import main\n"
             "argv = json.loads(sys.argv[1])\n"
             "if argv is not None:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) in (0, 1)\n"
-            f"print(json.dumps([m for m in {HEAVY_MODULES!r} if m in sys.modules]))")
+            f"print(json.dumps([m for m in sys.modules if m in {HEAVY_MODULES!r}"
+            " or m.split('.')[0] == 'scipy']))")
     env = dict(os.environ, PYTHONPATH=str(Path(cmdual.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
                          capture_output=True, text=True, check=True, env=env).stdout
@@ -215,7 +217,7 @@ def loaded_after(argv=None):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # nor integrate, optimize or the counterexamples: they load on first use
+    # nor any other scipy module or the counterexamples: they load on first use
     assert loaded_after() == set()
 
 
@@ -263,6 +265,7 @@ def discrete_inputs(tmp_path):
     market = write(tmp_path, "market.json", MARKET)
     return {"F": F, "G": G, "deflator": deflator, "mixture": mixture,
             "log": write(tmp_path, "log.json", {"kind": "log"}),
+            "power": write(tmp_path, "power.json", {"kind": "power", "p": -1.0}),
             "market": market,
             **{name: write(tmp_path, f"{name}.json", payload)
                for name, payload in {**NON_FINITE, **BAD_ORDER}.items()}}
@@ -280,6 +283,53 @@ def discrete_inputs(tmp_path):
 def test_discrete_commands_load_no_quadrature(discrete_inputs, argv):
     argv = [discrete_inputs.get(a, a) for a in argv]
     assert loaded_after(argv) == set()
+
+
+DISCRETE_COMMANDS = {
+    "dominance-2": ["dominance", "F", "G", "--order", "2"],
+    "dominance-inf": ["dominance", "F", "G", "--order", "inf"],
+    "audit": ["audit", "F", "G"],
+    "sd-equiv": ["sd-equiv", "--market", "market"],
+    **{f"{command}-{utility}": [command, "--utility", utility,
+                                "--model", "deflator", *extra]
+       for command, extra in (("solve", []), ("derivatives", []),
+                              ("invert", ["--z", "1", "--order", "3"]))
+       for utility in ("log", "power", "mixture")},
+}
+
+
+@pytest.mark.parametrize("argv", DISCRETE_COMMANDS.values(),
+                         ids=DISCRETE_COMMANDS.keys())
+def test_discrete_commands_load_no_scipy(discrete_inputs, argv):
+    # finite markets and discrete laws are exact: scipy.special and the
+    # rest of scipy stay unloaded
+    argv = [discrete_inputs.get(a, a) for a in argv]
+    assert loaded_after(argv) == set()
+
+
+def test_first_scipy_use_after_a_discrete_command(discrete_inputs, tmp_path):
+    # a measure utility on a lognormal model binds scipy.special on first
+    # use, after a discrete command ran without it; it must print the same
+    # bytes as in a fresh process
+    utility = write(tmp_path, "foot.json", footnote_utility(1).to_dict())
+    model = write(tmp_path, "kappa.json", {"kappa": 0.25})
+    solve = ["solve", "--utility", utility, "--model", model, "--grid", "0.5:2:2"]
+    dominance = ["dominance", discrete_inputs["F"], discrete_inputs["G"]]
+    code = ("import contextlib, io, json, sys\n"
+            "from cmdual.cli import main\n"
+            "first, second = json.loads(sys.argv[1])\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(first)\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "sys.exit(main(second))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cmdual.__file__).parents[1]))
+    after = subprocess.run([sys.executable, "-c", code,
+                            json.dumps([dominance, solve])],
+                           capture_output=True, text=True, env=env)
+    fresh = subprocess.run([sys.executable, "-m", "cmdual.cli", *solve],
+                           capture_output=True, text=True, env=env)
+    assert after.returncode == fresh.returncode == 0, after.stderr
+    assert after.stdout == fresh.stdout != ""
 
 
 MODEL = ["--utility", "log", "--model", "deflator"]
@@ -339,6 +389,22 @@ def test_invalid_options_are_input_errors(discrete_inputs, argv, capsys):
     assert code == 2
     assert capsys.readouterr().out == ""
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["derivatives", "--utility", "mixture", "--model", "deflator",
+     "--order", "4"],
+    ["invert", "--utility", "mixture", "--model", "deflator", "--z", "1",
+     "--order", "8"],
+    ["cex2", "--utility", "log"],
+], ids=["derivatives-past-spec-order", "invert-past-spec-order",
+        "cex2-constant-rra"])
+def test_request_faults_are_input_errors(discrete_inputs, argv, capsys):
+    # an order beyond the finite_order spec's n (OrderExceeded) and a
+    # constant-RRA utility for cex2 (ConstantRRA) are faults of the request
+    assert main([discrete_inputs.get(a, a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error:")
 
 
 def run_argv(discrete_inputs, argv, capsys):
