@@ -3,15 +3,15 @@
 
 Every command runs as ``python -m cmdual.cli ...`` (and ``import`` as
 ``python -c "import cmdual.cli"``), so a time covers interpreter start,
-imports and the work itself.  ``import.floor`` times the import of numpy,
-``numpy.polynomial`` and the stdlib modules cmdual uses: the start-up no
-command can go below.  Inputs are fixed and written to a temporary
-directory.  Given several source trees (``--src LABEL=PATH``, repeatable),
-each round times every command once per tree, rotating which tree goes
-first, and the output records whether all trees printed the same stdout and
-exit code.  Each round and tree also runs ``import cmdual.cli`` once under
-``-X importtime``; the output gives the median cumulative seconds of the
-main modules it loads.
+imports and the work itself.  ``import.floor`` times the import of numpy
+and the stdlib modules cmdual uses: the start-up no command can go below.
+Inputs are fixed and written to a temporary directory.  Given several
+source trees (``--src LABEL=PATH``, repeatable), each round times every
+command once per tree, rotating which tree goes first, and the output
+records whether all trees printed the same stdout and exit code.  Each
+round and tree also runs ``import cmdual.cli`` once under ``-X
+importtime``; the output gives the median cumulative seconds of the main
+modules it loads.
 
     python scripts/time_cli.py --runs 12 --json timings.json
     python scripts/time_cli.py --src parent=../old/src --src change=src
@@ -47,6 +47,8 @@ INPUTS = {
 # name -> argv; an argv entry naming an INPUTS key is replaced by its file
 COMMANDS = {
     "dominance.order2": ["dominance", "F", "G", "--order", "2"],
+    # F dominates G, so every interval interior is searched
+    "dominance.order8": ["dominance", "F", "G", "--order", "8"],
     "dominance.inf": ["dominance", "F", "G", "--order", "inf"],
     "audit": ["audit", "F", "G"],
     "solve.lognormal": ["solve", "--utility", "power", "--model", "kappa"],
@@ -72,8 +74,8 @@ COMMANDS = {
 
 # name -> Python source run with -c
 SCRIPTS = {
-    "import.floor": "import numpy, numpy.polynomial.polynomial, argparse, json, "
-                    "dataclasses, functools, itertools, typing",
+    "import.floor": "import numpy, argparse, json, dataclasses, functools, "
+                    "itertools, typing",
     "import": "import cmdual.cli",
 }
 

@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyroots, polyval
 
 from . import _special as special
 from .cmcalc import DnFunction
@@ -151,14 +150,14 @@ class Discrete(Distribution):
             ps[xs <= y].sum())
 
     def iterated(self, n, ys):
+        """F_n at ``ys``; for a sequence of orders, one row per order."""
         xs, ps = self._xp
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        if n == 1:
-            out = (xs[None, :] <= ys[:, None]) @ ps
-        else:
-            gap = np.maximum(ys[:, None] - xs[None, :], 0.0)
-            out = gap ** (n - 1) @ ps / math.factorial(n - 1)
-        return out
+        gap = np.maximum(ys[:, None] - xs[None, :], 0.0)
+        single = np.isscalar(n)
+        rows = [gap ** (m - 1) @ ps / math.factorial(m - 1) if m > 1
+                else (xs[None, :] <= ys[:, None]) @ ps for m in ([n] if single else n)]
+        return rows[0] if single else np.array(rows)
 
     def laplace(self, z):
         xs, ps = self._xp
@@ -327,19 +326,49 @@ def _distinct(rows, cols):
             np.array([index[id(law)][0] for law in cols], dtype=int))
 
 
-def _interior_violation(knots, dc, gc):
-    """Leftmost interior minimum of sum_r dc[r, j] t**r on knot interval j
-    below the tie tolerance (gc: G's coefficients there), NaN if none."""
-    slopes = polyder(dc)  # every interval's derivative, one column each
-    for j, width in enumerate(np.diff(knots, append=math.inf)):
-        roots = polyroots(slopes[:, j])
-        ts = np.sort(roots.real[(np.abs(roots.imag) < 1e-12)
-                                & (roots.real > 0) & (roots.real < width)])
-        dval, gval = polyval(ts, dc[:, j]), polyval(ts, gc[:, j])
-        bad = dval < -_tol(gval, gval - dval)
-        if bad.any():
-            return knots[j] + ts[np.argmax(bad)]
-    return math.nan
+def _horner(c, x):
+    """sum_r c[..., r] x**r in polyval's operation order."""
+    val = c[..., -1] + x * 0
+    for r in range(c.shape[-1] - 2, -1, -1):
+        val = c[..., r] + val * x
+    return val
+
+
+def _interior_witness(knots, mask, dc, gc):
+    """Leftmost interior minimum of each pair p's sum_r dc[p, r, k] t**r, on
+    the interval from its knot k (mask[p]: its knots) to its next, that
+    falls below the tie tolerance (gc: G's coefficients); NaN if none.
+    The slopes' roots are polyroots': each slope is trimmed of exactly-zero
+    leading coefficients, and all slopes of one trimmed degree m share one
+    eigensolve of polycompanion's m-by-m matrices (m = 1 needs none).
+    """
+    pair, k = np.nonzero(mask)
+    start, width = knots[k], np.diff(knots[k], append=math.inf)
+    width[np.diff(pair, append=-1) != 0] = math.inf  # each pair's last one
+    c = np.stack((dc[pair, :, k], gc[pair, :, k]), axis=1)
+    slope = c[:, 0, 1:] * np.arange(1, c.shape[2])
+    deg = np.where(slope != 0, np.arange(slope.shape[1]), 0).max(axis=1)
+    owner, ts = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for m in sorted(set(deg.tolist()) - {0}):
+        at = np.flatnonzero(deg == m)
+        companion = np.zeros((at.size, m, m))
+        companion[:, np.arange(1, m), np.arange(m - 1)] = 1
+        companion[:, :, -1] -= slope[at, :m] / slope[at, m:m + 1]
+        roots = companion[:, :, 0] if m == 1 else np.linalg.eigvals(companion)
+        row, col = np.nonzero((np.abs(roots.imag) < 1e-12) & (roots.real > 0)
+                              & (roots.real < width[at, None]))
+        owner.append(at[row])
+        ts.append(roots.real[row, col])
+    owner, ts = np.concatenate(owner), np.concatenate(ts)
+    dval, gval = _horner(c[owner], ts[:, None]).T
+    bad = dval < -_tol(gval, gval - dval)
+    # each pair's first bad root: its intervals in order, then the root
+    order = np.lexsort((ts, owner, ~bad))[:np.count_nonzero(bad)]
+    owner, ts = owner[order], ts[order]
+    first = np.diff(pair[owner], prepend=-1) != 0
+    out = np.full(mask.shape[0], np.nan)
+    out[pair[owner[first]]] = start[owner[first]] + ts[first]
+    return out
 
 
 def discrete_witness_table(rows, cols, n: int) -> np.ndarray:
@@ -352,33 +381,32 @@ def discrete_witness_table(rows, cols, n: int) -> np.ndarray:
     F_n(k + t) = sum_(r<n) F_(n-r)(k) t**r / r!, so the pair's knots (both
     laws' atoms and 0), the interior minima of its intervals and the sign of
     the highest non-tied coefficient past its last knot decide the verdict.
-    Each law's iterated CDFs are evaluated once, on the union of all knots;
-    the knot checks run one row of pairs at a time and the tail checks for
-    all pairs at once, each pair masked to its own knots.
+    Each law's F_1..F_n come from one call on the union of all knots.  One
+    row of pairs at a time, each pair masked to its own knots, the knots
+    are checked, then every undecided pair's interior minima with one
+    stacked eigensolve per slope degree; the tail for all pairs at once.
     """
     laws, ri, ci = _distinct(rows, cols)
     sizes = [len(law.xs) for law in laws]
     knots, at = np.unique(np.concatenate([*(law._xp[0] for law in laws),
                                           [0.0]]), return_inverse=True)
     # tab[l, r]: F_(n-r) of law l at every knot; own[l]: law l's knots
-    tab = np.array([[law.iterated(n - r, knots) for r in range(n)]
-                    for law in laws])
+    tab = np.array([law.iterated(range(n, 0, -1), knots) for law in laws])
     own = np.zeros((len(laws), knots.size), dtype=bool)
     own[np.repeat(np.arange(len(laws)), sizes), at[:-1]] = True
     own[:, 0] = True  # knot 0, the smallest, belongs to every pair
     top_knot = at[np.cumsum(sizes) - 1]  # each law's largest atom
     fac = np.array([float(math.factorial(r)) for r in range(n)])[:, None]
-    g = tab[ci]
+    g, gc = tab[ci], tab[ci] / fac
     out = np.empty((ri.size, ci.size))
     for i, row in enumerate(ri.tolist()):
         f, mask = tab[row], own[row] | own[ci]
         dc = (g - f) / fac
         bad = (dc[:, 0] < -_tol(g[:, 0], f[0])) & mask
         out[i] = np.where(bad.any(axis=1), knots[bad.argmax(axis=1)], np.nan)
-        if n >= 3:
-            for c in np.flatnonzero(np.isnan(out[i])).tolist():
-                out[i, c] = _interior_violation(
-                    knots[mask[c]], dc[c][:, mask[c]], g[c][:, mask[c]] / fac)
+        if n >= 3 and (open_ := np.isnan(out[i])).any():
+            out[i, open_] = _interior_witness(knots, mask[open_], dc[open_],
+                                              gc[open_])
     # past a pair's last knot the highest-degree coefficient that is not a
     # tie of its own two iterated-CDF values decides the sign
     last = np.maximum.outer(top_knot[ri], top_knot[ci])
@@ -387,13 +415,15 @@ def discrete_witness_table(rows, cols, n: int) -> np.ndarray:
     lead = np.abs(rise) > _tol(last_g, last_f).reshape(-1, n)
     top = n - 1 - lead[:, ::-1].argmax(axis=1)
     falls = lead.any(axis=1) & (rise[np.arange(top.size), top] < 0)
-    for i, c in zip(*np.nonzero(falls.reshape(out.shape) & np.isnan(out))):
-        end = knots[last[i, c]]
-        coeffs = (tab[ci[c], :, last[i, c]] - tab[ri[i], :, last[i, c]]) / fac[:, 0]
-        y = end + 1.0
-        while polyval(y - end, coeffs) >= -ABS_TOL:
-            y *= 2.0
-        out[i, c] = y
+    # and a falling pair's witness starts 1 past that knot and doubles
+    # until the pair's polynomial falls below the tolerance there
+    tail = np.flatnonzero(falls & np.isnan(out).ravel())
+    end, coeffs = knots[last.ravel()[tail]], rise[tail] / fac[:, 0]
+    y, walk = end + 1.0, np.ones(tail.size, dtype=bool)
+    while walk.any():
+        walk[walk] = _horner(coeffs[walk], y[walk] - end[walk]) >= -ABS_TOL
+        y[walk] *= 2.0
+    out.flat[tail] = y
     return out
 
 

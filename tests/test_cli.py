@@ -198,8 +198,8 @@ HEAVY_MODULES = ("scipy.stats", "scipy.integrate", "scipy.optimize",
                  "cmdual.counterexamples")
 
 
-def loaded_after(argv=None):
-    """Which of HEAVY_MODULES, and which other scipy modules, a fresh
+def loaded_after(argv=None, package="scipy"):
+    """Which of HEAVY_MODULES, and which modules of ``package``, a fresh
     interpreter holds after importing cmdual.cli and, given ``argv``,
     running that command."""
     code = ("import contextlib, io, json, sys\n"
@@ -209,7 +209,7 @@ def loaded_after(argv=None):
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) in (0, 1)\n"
             f"print(json.dumps([m for m in sys.modules if m in {HEAVY_MODULES!r}"
-            " or m.split('.')[0] == 'scipy']))")
+            f" or (m + '.').startswith({package + '.'!r})]))")
     env = dict(os.environ, PYTHONPATH=str(Path(cmdual.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
                          capture_output=True, text=True, check=True, env=env).stdout
@@ -305,6 +305,15 @@ def test_discrete_commands_load_no_scipy(discrete_inputs, argv):
     # rest of scipy stay unloaded
     argv = [discrete_inputs.get(a, a) for a in argv]
     assert loaded_after(argv) == set()
+
+
+def test_discrete_order_8_loads_no_numpy_polynomial(discrete_inputs):
+    # the exact order-n search solves its own companion matrices: neither
+    # the import nor a verdict that searches interval interiors loads
+    # numpy.polynomial
+    argv = ["dominance", discrete_inputs["F"], discrete_inputs["G"],
+            "--order", "8"]
+    assert loaded_after(argv, package="numpy.polynomial") == set()
 
 
 def test_first_scipy_use_after_a_discrete_command(discrete_inputs, tmp_path):

@@ -1,12 +1,16 @@
 """Tests for laws, iterated CDFs, and dominance orders."""
 
 import math
+import os
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyder, polyfromroots, polyroots, polyval
 from scipy import integrate
 
+from cmdual import dominance
 from cmdual.cmcalc import DnFunction
 from cmdual.dominance import (
     ABS_TOL,
@@ -14,6 +18,7 @@ from cmdual.dominance import (
     Discrete,
     Distribution,
     Lognormal,
+    _interior_witness,
     discrete_witness_table,
     dominates_inf,
     dominates_n,
@@ -54,8 +59,14 @@ def mean_preserving_spread(d, rng):
 
 
 def repeated_integration_oracle(d, n, y):
-    """Literal iteration of F_i(y) = integral_0^y F_{i-1}."""
+    """Literal iteration of F_i(y) = integral_0^y F_{i-1}.
 
+    A discrete law's F_i is a polynomial between consecutive atoms, so its
+    integrals are taken interval by interval in exact rationals; any other
+    law goes through nested quad.
+    """
+    if isinstance(d, Discrete):
+        return float(exact_repeated_integration(d, n, y))
     knots = [k for k in getattr(d, "xs", ()) if 0.0 < k]
 
     def f(level, t):
@@ -68,6 +79,25 @@ def repeated_integration_oracle(d, n, y):
         return val
 
     return f(n, y)
+
+
+def exact_repeated_integration(d, n, y):
+    """F_n(y) of a discrete law, each F_i = integral_0^y F_{i-1} integrated
+    exactly on every interval between 0, the atoms below y and y."""
+    y = Fraction(y)
+    atoms = [(Fraction(x), Fraction(p)) for x, p in zip(d.xs, d.ps)]
+    cuts = sorted({Fraction(0), y, *(x for x, _ in atoms if x < y)})
+    # F_1 on [a, b): the mass at or below a, as a polynomial in t - a
+    pieces = [[sum((p for x, p in atoms if x <= a), Fraction(0))]
+              for a in cuts[:-1]]
+    value = sum((p for x, p in atoms if x <= y), Fraction(0))
+    for _ in range(n - 1):
+        value, integrated = Fraction(0), []
+        for a, b, poly in zip(cuts, cuts[1:], pieces):
+            integrated.append([value, *(c / (r + 1) for r, c in enumerate(poly))])
+            value = sum(c * (b - a) ** r for r, c in enumerate(integrated[-1]))
+        pieces = integrated
+    return value
 
 
 def test_iterated_cdf_examples():
@@ -381,12 +411,12 @@ def test_smaller_mean_witness_is_an_exact_violation():
 
 def test_discrete_order_n_reads_only_iterated_cdfs(monkeypatch):
     # the local Taylor coefficients come from one Discrete.iterated call per
-    # order and law; no second formula for F_n
+    # law, for all orders n..1 at once; no second formula for F_n
     calls = []
     iterated = Discrete.iterated
 
     def counted(self, n, ys):
-        calls.append(n)
+        calls.append(list(n))
         return iterated(self, n, ys)
 
     monkeypatch.setattr(Discrete, "iterated", counted)
@@ -397,7 +427,146 @@ def test_discrete_order_n_reads_only_iterated_cdfs(monkeypatch):
         for n in range(1, 9):
             calls.clear()
             dominates_n(F, G, n)
-            assert len(calls) == 2 * n, (F, G, n)
+            assert calls == [list(range(n, 0, -1))] * 2, (F, G, n)
+
+
+def test_iterated_orders_match_single_orders():
+    # one call for several orders gives each order's values bit for bit
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        d = random_discrete(rng)
+        ys = np.sort(rng.uniform(0.0, 6.0, 9))
+        table = d.iterated(range(9, 0, -1), ys)
+        for r, n in enumerate(range(9, 0, -1)):
+            assert np.array_equal(table[r], d.iterated(n, ys)), n
+
+
+def reference_interior_violation(knots, dc, gc):
+    """The per-interval numpy.polynomial search the array kernel replaced:
+    leftmost interior minimum of sum_r dc[r, j] t**r on knot interval j
+    below the tie tolerance (gc: G's coefficients there), NaN if none."""
+    slopes = polyder(dc)
+    for j, width in enumerate(np.diff(knots, append=math.inf)):
+        roots = polyroots(slopes[:, j])
+        ts = np.sort(roots.real[(np.abs(roots.imag) < 1e-12)
+                                & (roots.real > 0) & (roots.real < width)])
+        dval, gval = polyval(ts, dc[:, j]), polyval(ts, gc[:, j])
+        tol = ABS_TOL + REL_TOL * np.maximum(np.abs(gval), np.abs(gval - dval))
+        bad = dval < -tol
+        if bad.any():
+            return knots[j] + ts[np.argmax(bad)]
+    return math.nan
+
+
+def random_coefficient_table(rng, pairs, n, size):
+    """Knots, a knot mask per pair and coefficient tables dc, gc whose
+    slopes on each interval mix every case polyroots tells apart: exactly
+    zero leading coefficients (slopes of degree 0 and 1), complex
+    conjugate roots, nearly real pairs, and roots at or just inside the
+    interval's edges.  A pair's last interval has infinite width."""
+    knots = np.append(0.0, np.sort(rng.uniform(0.0, 5.0, size - 1)))
+    mask = rng.random((pairs, size)) < 0.7
+    mask[:, 0] = True
+    dc = rng.normal(size=(pairs, n, size))
+    gc = rng.normal(size=(pairs, n, size))
+    for p in range(pairs):
+        own = np.flatnonzero(mask[p])
+        widths = np.diff(knots[own], append=math.inf)
+        for k, width in zip(own, widths):
+            edge = width if width < math.inf else rng.uniform(0.5, 5.0)
+            kind = rng.integers(6)
+            if kind < 2:  # slope of degree 0 or 1 (or zero)
+                dc[p, 2 + kind:, k] = 0.0
+                if rng.random() < 0.2:
+                    dc[p, 1:, k] = 0.0
+                continue
+            if kind == 2:
+                roots = [complex(rng.uniform(0, edge), rng.uniform(0.1, 1.0))]
+                roots += [roots[0].conjugate()]
+            elif kind == 3:
+                im = 10.0 ** rng.uniform(-16, -11)
+                roots = [complex(rng.uniform(0, edge), im)]
+                roots += [roots[0].conjugate()]
+            else:
+                roots = [edge, np.nextafter(edge, 0.0), 0.0,
+                         edge * (1 - 1e-15)][:rng.integers(1, 5)]
+            roots += list(rng.uniform(-1.0, edge, rng.integers(0, 3)))
+            roots = roots[:n - 2]
+            slope = np.real(polyfromroots(roots)) * rng.uniform(0.5, 2.0)
+            dc[p, 1:, k] = 0.0
+            dc[p, 1:len(slope) + 1, k] = slope / np.arange(1, len(slope) + 1)
+            dc[p, 0, k] = rng.uniform(-0.5, 1.0)
+    return knots, mask, dc, gc
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 9])
+def test_interior_kernel_matches_per_interval_search(n):
+    # the batched kernel finds every pair's witness bit for bit as the
+    # per-interval polyroots/polyval search did
+    rng = np.random.default_rng(40 + n)
+    found = []
+    for _ in range(30):
+        knots, mask, dc, gc = random_coefficient_table(rng, 6, n, 8)
+        got = _interior_witness(knots, mask, dc, gc)
+        want = np.array([reference_interior_violation(
+            knots[mask[p]], dc[p][:, mask[p]], gc[p][:, mask[p]])
+            for p in range(mask.shape[0])])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+            got, want)
+        found += list(np.isnan(got))
+    assert 0 < sum(found) < len(found)
+
+
+def test_order_8_verdict_eigensolves_once_per_slope_degree(monkeypatch):
+    # a dominating pair searches every interval; the intervals share one
+    # stacked eigensolve per trimmed slope degree, and no numpy.polynomial
+    # function runs
+    degrees = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        degrees.append(a.shape[-1])
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    polynomial = []
+
+    def watch(frame, event, arg):
+        path = frame.f_code.co_filename
+        if event == "call" and f"numpy{os.sep}polynomial{os.sep}" in path:
+            polynomial.append(frame.f_code.co_name)
+
+    G = Discrete((0.5, 1.5, 2.5, 3.1), (0.2, 0.4, 0.3, 0.1))
+    F = Discrete((1.0, 2.0, 3.0, 3.6), G.ps)
+    sys.setprofile(watch)
+    try:
+        verdict = dominates_n(F, G, 8)
+    finally:
+        sys.setprofile(None)
+    assert verdict
+    assert degrees and len(degrees) == len(set(degrees)), degrees
+    assert polynomial == []
+
+
+def test_violation_past_the_last_knot_is_found_by_the_tail_walk(monkeypatch):
+    # G_n - F_n stays positive up to the last atom 1.5 and then falls
+    # without an interior minimum (E F = 1 < E G = 1.125), so no knot and no
+    # interval finds the violation: the walk past the last knot does,
+    # starting at 2.5 and doubling; the witnesses are pinned
+    F, G = Discrete.point(1.0), Discrete((0.0, 1.5), (0.25, 0.75))
+    interior = []
+
+    def recorded(*args):
+        interior.append(_interior_witness(*args))
+        return interior[-1]
+
+    monkeypatch.setattr(dominance, "_interior_witness", recorded)
+    for n, want in zip(range(3, 9), (5.0, 5.0, 10.0, 10.0, 20.0, 20.0)):
+        interior.clear()
+        verdict = dominates_n(F, G, n)
+        assert len(interior) == 1 and np.isnan(interior[0]).all(), n
+        assert verdict.witness == want, n
+        assert exact_iterated(G, n, want) < exact_iterated(F, n, want)
 
 
 @pytest.mark.parametrize("scale", [1.0, 10.0])
