@@ -31,6 +31,10 @@ from pathlib import Path
 INPUTS = {
     "F": {"kind": "discrete", "x": [1.0, 2.0, 3.0], "p": [0.2, 0.5, 0.3]},
     "G": {"kind": "discrete", "x": [0.5, 1.5, 2.5], "p": [0.2, 0.5, 0.3]},
+    # a true order-2 violation of 1e-12 at 0.005001, below the old absolute
+    # tie floor of 1e-10: the discrete tie must be relative to be seen
+    "Ftie": {"kind": "discrete", "x": [0.005, 0.1], "p": [1e-6, 0.999999]},
+    "Gtie": {"kind": "discrete", "x": [0.005001, 0.01], "p": [0.5, 0.5]},
     "log": {"kind": "log"},
     "power": {"kind": "power", "p": -1.0},
     "mixture": {"kind": "finite_order", "n": 4,
@@ -50,6 +54,7 @@ COMMANDS = {
     # F dominates G, so every interval interior is searched
     "dominance.order8": ["dominance", "F", "G", "--order", "8"],
     "dominance.inf": ["dominance", "F", "G", "--order", "inf"],
+    "dominance.tie": ["dominance", "Ftie", "Gtie", "--order", "2"],
     "audit": ["audit", "F", "G"],
     "solve.lognormal": ["solve", "--utility", "power", "--model", "kappa"],
     "solve.discrete": ["solve", "--utility", "mixture", "--model", "deflator"],

@@ -327,15 +327,16 @@ class Cex1Instance:
 
     order: int = 2
     n_trunc: int = 10**6
-    bump: Optional[AnalyticBump] = None
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if self.n_trunc < 10:
             raise ValueError("n_trunc too small")
-        if self.bump is None:
-            object.__setattr__(self, "bump", AnalyticBump(self.n_trunc))
+
+    @cached_property
+    def bump(self) -> AnalyticBump:
+        return AnalyticBump(self.n_trunc)
 
     @cached_property
     def _atom_weights(self):

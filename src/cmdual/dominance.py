@@ -69,9 +69,6 @@ class QuadratureRule(NamedTuple):
 class Distribution:
     """Law of a nonnegative random variable."""
 
-    def cdf(self, y):
-        raise NotImplementedError
-
     def iterated(self, n, ys):
         raise NotImplementedError
 
@@ -143,12 +140,6 @@ class Discrete(Distribution):
     def point(cls, x: float) -> "Discrete":
         return cls((x,), (1.0,))
 
-    def cdf(self, y):
-        xs, ps = self._xp
-        y = np.asarray(y, dtype=float)
-        return (xs[:, None] <= y[None, :]).T @ ps if y.ndim else float(
-            ps[xs <= y].sum())
-
     def iterated(self, n, ys):
         """F_n at ``ys``; for a sequence of orders, one row per order."""
         xs, ps = self._xp
@@ -162,9 +153,8 @@ class Discrete(Distribution):
     def laplace(self, z):
         xs, ps = self._xp
         z = np.asarray(z, dtype=float)
-        if z.ndim == 0:
-            return float(np.dot(ps, np.exp(-float(z) * xs)))
-        return np.exp(-z[:, None] * xs[None, :]) @ ps
+        val = np.exp(-np.multiply.outer(z, xs)) @ ps
+        return float(val) if z.ndim == 0 else val
 
     def mean(self):
         xs, ps = self._xp
@@ -206,11 +196,6 @@ class Lognormal(Distribution):
             )
         return out
 
-    def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.where(y > 0, special.ndtr(self._score(y)), 0.0)
-        return float(out) if out.ndim == 0 else out
-
     def _score(self, y):
         """(ln y - m) / s, with y <= 0 mapped to y = 1."""
         return (np.log(np.where(y > 0, y, 1.0)) - self.m) / self.s
@@ -225,7 +210,7 @@ class Lognormal(Distribution):
         """
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if n == 1:
-            return np.asarray(self.cdf(ys))
+            return np.where(ys > 0, special.ndtr(self._score(ys)), 0.0)
         k = np.arange(n)
         signs = np.array([(-1.0) ** j * math.comb(n - 1, j) for j in k])
         logy = np.log(np.where(ys > 0, ys, 1.0))[:, None]
@@ -304,9 +289,14 @@ class DominanceVerdict:
         }
 
 
+def _tie(a, b):
+    """REL_TOL of the larger magnitude of two compared values, elementwise."""
+    return REL_TOL * np.maximum(np.abs(a), np.abs(b))
+
+
 def _tol(a, b):
-    """Tie tolerance between two values, elementwise."""
-    return ABS_TOL + REL_TOL * np.maximum(np.abs(a), np.abs(b))
+    """The tie next to quadrature noise: the relative tie plus ABS_TOL."""
+    return ABS_TOL + _tie(a, b)
 
 
 def _verdict(witness: float, order: float) -> DominanceVerdict:
@@ -337,7 +327,8 @@ def _horner(c, x):
 def _interior_witness(knots, mask, dc, gc):
     """Leftmost interior minimum of each pair p's sum_r dc[p, r, k] t**r, on
     the interval from its knot k (mask[p]: its knots) to its next, that
-    falls below the tie tolerance (gc: G's coefficients); NaN if none.
+    falls below the relative tie of G's and F's values there (gc: G's
+    coefficients); NaN if none.
     The slopes' roots are polyroots': each slope is trimmed of exactly-zero
     leading coefficients, and all slopes of one trimmed degree m share one
     eigensolve of polycompanion's m-by-m matrices (m = 1 needs none).
@@ -361,7 +352,7 @@ def _interior_witness(knots, mask, dc, gc):
         ts.append(roots.real[row, col])
     owner, ts = np.concatenate(owner), np.concatenate(ts)
     dval, gval = _horner(c[owner], ts[:, None]).T
-    bad = dval < -_tol(gval, gval - dval)
+    bad = dval < -_tie(gval, gval - dval)
     # each pair's first bad root: its intervals in order, then the root
     order = np.lexsort((ts, owner, ~bad))[:np.count_nonzero(bad)]
     owner, ts = owner[order], ts[order]
@@ -372,9 +363,10 @@ def _interior_witness(knots, mask, dc, gc):
 
 
 def discrete_witness_table(rows, cols, n: int) -> np.ndarray:
-    """Leftmost point found where G_n - F_n falls below the tie tolerance,
-    for every row law F and column law G (all Discrete); NaN where F
-    dominates G at order n.
+    """Leftmost point found where G_n - F_n falls below the relative tie of
+    the two, for every row law F and column law G (all Discrete); NaN where
+    F dominates G at order n.  Rescaling both laws scales every compared
+    value and its tie alike, so it leaves every verdict unchanged.
 
     On each knot interval of a pair, d/dy F_m = F_(m-1) makes F_n a
     polynomial with the exact local expansion
@@ -402,7 +394,7 @@ def discrete_witness_table(rows, cols, n: int) -> np.ndarray:
     for i, row in enumerate(ri.tolist()):
         f, mask = tab[row], own[row] | own[ci]
         dc = (g - f) / fac
-        bad = (dc[:, 0] < -_tol(g[:, 0], f[0])) & mask
+        bad = (dc[:, 0] < -_tie(g[:, 0], f[0])) & mask
         out[i] = np.where(bad.any(axis=1), knots[bad.argmax(axis=1)], np.nan)
         if n >= 3 and (open_ := np.isnan(out[i])).any():
             out[i, open_] = _interior_witness(knots, mask[open_], dc[open_],
@@ -410,18 +402,23 @@ def discrete_witness_table(rows, cols, n: int) -> np.ndarray:
     # past a pair's last knot the highest-degree coefficient that is not a
     # tie of its own two iterated-CDF values decides the sign
     last = np.maximum.outer(top_knot[ri], top_knot[ci])
-    last_f, last_g = tab[ri[:, None], :, last], tab[ci[None, :], :, last]
-    rise = (last_g - last_f).reshape(-1, n)
-    lead = np.abs(rise) > _tol(last_g, last_f).reshape(-1, n)
+    last_f = tab[ri[:, None], :, last].reshape(-1, n)
+    last_g = tab[ci[None, :], :, last].reshape(-1, n)
+    rise = last_g - last_f
+    lead = np.abs(rise) > _tie(last_g, last_f)
     top = n - 1 - lead[:, ::-1].argmax(axis=1)
     falls = lead.any(axis=1) & (rise[np.arange(top.size), top] < 0)
-    # and a falling pair's witness starts 1 past that knot and doubles
-    # until the pair's polynomial falls below the tolerance there
+    # and a falling pair's witness starts 1 past that knot and doubles until
+    # its tail polynomial falls below the tie of F's and G's tail values
+    # there, all three cut at that coefficient, so the walk ends
     tail = np.flatnonzero(falls & np.isnan(out).ravel())
-    end, coeffs = knots[last.ravel()[tail]], rise[tail] / fac[:, 0]
+    end = knots[last.ravel()[tail]]
+    coeffs = (np.stack((rise[tail], last_f[tail], last_g[tail]))
+              * (np.arange(n) <= top[tail, None]) / fac[:, 0])
     y, walk = end + 1.0, np.ones(tail.size, dtype=bool)
     while walk.any():
-        walk[walk] = _horner(coeffs[walk], y[walk] - end[walk]) >= -ABS_TOL
+        d, fv, gv = _horner(coeffs[:, walk], y[walk] - end[walk])
+        walk[walk] = d >= -_tie(gv, fv)
         y[walk] *= 2.0
     out.flat[tail] = y
     return out
@@ -488,8 +485,8 @@ def dominates_n(F: Distribution, G: Distribution, n: int) -> DominanceVerdict:
     For discrete pairs the comparison is exact piecewise polynomial
     analysis (``discrete_witness_table`` on one pair) including interior
     minima; mixed kinds fall back to a refined grid whose verdict must be
-    stable across two refinements.  Ties within tolerance count as
-    dominance.
+    stable across two refinements.  Ties count as dominance: relative on
+    the exact path, with the floor ABS_TOL added on the grid.
     """
     if n < 1 or n != int(n):
         raise ValueError("n must be an integer >= 1")

@@ -46,6 +46,9 @@ __all__ = [
     "EquivalenceReport",
 ]
 
+# highest order of the partition-sum chain rules (primal_derivatives: one more)
+FAA_ORDER_CAP = 8
+
 
 def _group_sums(keys, *weights):
     """Distinct keys in ascending order and each weight array summed over them."""
@@ -162,10 +165,6 @@ class FiniteMarket:
             vertices = self.deflator_vertices()
         return bool(np.all(np.mean(vertices, axis=0) > 0.0))
 
-    def to_dict(self):
-        return {"probs": list(self.probs), "payoffs": list(self.payoffs),
-                "s0": self.s0}
-
     @classmethod
     def from_dict(cls, d):
         return cls(tuple(d["probs"]), tuple(d["payoffs"]), d.get("s0", 1.0))
@@ -201,9 +200,6 @@ class MarketModel:
         if "deflator" in d:
             return cls(Distribution.from_dict(d["deflator"]))
         return cls(Distribution.from_dict(d))
-
-    def to_dict(self) -> dict:
-        return {"deflator": self.deflator_law.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -244,11 +240,9 @@ class ValueFunctionPair:
     solutions for the primal marginal, keyed by exact argument.
     """
 
-    def __init__(self, utility: UtilitySpec, model: MarketModel,
-                 faa_order_cap: int = 8):
+    def __init__(self, utility: UtilitySpec, model: MarketModel):
         self.utility = utility
         self.model = model
-        self.faa_order_cap = faa_order_cap
         self._marginal_cache: dict[float, float] = {}
         # a discrete law's states, or the nodes on which the dual probe
         # E[V(Y)] settles; a non-finite probe means the expectation diverges
@@ -337,10 +331,9 @@ class ValueFunctionPair:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        if n > self.faa_order_cap + 1:
+        if n > FAA_ORDER_CAP + 1:
             raise OrderExceeded(
-                f"partition sums are capped at order {self.faa_order_cap}; "
-                f"raise faa_order_cap to go higher")
+                f"partition sums are capped at order {FAA_ORDER_CAP}")
         y = self.primal_marginal(x)
         derivs = [y]
         if n == 1:
@@ -355,10 +348,8 @@ class ValueFunctionPair:
         """u^(n)(x) for n >= 2 (use primal_marginal for n = 1)."""
         if n < 2:
             raise ValueError("n must be >= 2")
-        if n > self.faa_order_cap:
-            raise OrderExceeded(
-                f"orders are capped at {self.faa_order_cap} by default; "
-                f"raise faa_order_cap to go higher")
+        if n > FAA_ORDER_CAP:
+            raise OrderExceeded(f"orders are capped at {FAA_ORDER_CAP}")
         return self.primal_derivatives(n, x)[-1]
 
     # -- optimizers ------------------------------------------------------------
@@ -380,10 +371,8 @@ class ValueFunctionPair:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        if n > self.faa_order_cap:
-            raise OrderExceeded(
-                f"orders are capped at {self.faa_order_cap} by default; "
-                f"raise faa_order_cap to go higher")
+        if n > FAA_ORDER_CAP:
+            raise OrderExceeded(f"orders are capped at {FAA_ORDER_CAP}")
         if n + 1 > self.utility.max_order:
             raise OrderExceeded("need V up to order n+1")
         inner = [u * self._outcomes for u in self.primal_derivatives(n + 1, x)]

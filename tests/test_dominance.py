@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyder, polyfromroots, polyroots, polyval
 from scipy import integrate
 
@@ -451,7 +453,7 @@ def reference_interior_violation(knots, dc, gc):
         ts = np.sort(roots.real[(np.abs(roots.imag) < 1e-12)
                                 & (roots.real > 0) & (roots.real < width)])
         dval, gval = polyval(ts, dc[:, j]), polyval(ts, gc[:, j])
-        tol = ABS_TOL + REL_TOL * np.maximum(np.abs(gval), np.abs(gval - dval))
+        tol = REL_TOL * np.maximum(np.abs(gval), np.abs(gval - dval))
         bad = dval < -tol
         if bad.any():
             return knots[j] + ts[np.argmax(bad)]
@@ -593,3 +595,150 @@ def test_witness_tables_match_single_pairs(scale):
     single = [[witness(dominates_inf(F, G)) for G in cols] for F in rows]
     assert np.array_equal(laplace_witness_table(rows, cols), single,
                           equal_nan=True)
+
+
+# ---- scale-free ties on the exact discrete path -------------------------------
+
+def normalised_iterated(d, n, y):
+    """exact_iterated with the masses scaled to sum to exactly 1: float
+    masses summing to 1 within rounding describe a probability law."""
+    return exact_iterated(d, n, y) / sum(map(Fraction, d.ps), Fraction(0))
+
+
+# F_2 - G_2 peaks at 0.5001 at F's 1e-6 times the 1e-4 gap, a true
+# violation of 1e-10: once the size of the old absolute tie floor
+TIE_F = Discrete((0.5, 10.0), (1e-6, 1 - 1e-6))
+TIE_G = Discrete((0.5001, 1.0), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_violation_at_the_size_of_the_old_floor_is_found_at_every_scale(
+        scale, n):
+    F, G = scaled(TIE_F, scale), scaled(TIE_G, scale)
+    verdict = dominates_n(F, G, n)
+    assert not verdict
+    assert verdict.witness == G.xs[0] == 0.5001 * scale
+    assert exact_iterated(G, n, verdict.witness) < exact_iterated(
+        F, n, verdict.witness)
+
+
+# rescaling probe pairs of the discrete_markets benchmark (seeds 102 and
+# 106) that read "dominates" at x1 and "violated" at x10: each is violated
+# by exact rational evaluation, at x1 by less than the old floor
+PROBE_PAIRS = [
+    (Discrete((0.2377246178383816, 0.6455830838476505, 0.8280567620621894),
+              (0.0364935836818347, 0.8337701228278491, 0.12973629349031615)),
+     Discrete((0.29000513965423413, 0.5361901478174166, 0.8906668348897564),
+              (0.376589408554568, 0.3249507567289343, 0.2984598347164976)),
+     (8,)),
+    (Discrete((0.02771206224907441, 0.7466879634027576, 0.9856222809682798),
+              (0.0003340896767250921, 0.04565586521122239,
+               0.9540100451120525)),
+     Discrete((0.22251421947772987, 0.5449226153077497, 0.8389531579061792),
+              (0.09004462347632744, 0.3317322039785486, 0.578223172545124)),
+     (8,)),
+    (Discrete((0.04036047896601025, 0.7749623580425603, 0.7981607896021629),
+              (0.01778707685047585, 0.460483334368534, 0.5217295887809901)),
+     Discrete((0.04841984694653634, 0.6242148048970471, 0.6880186678268482),
+              (0.4418042242044623, 0.06282063436107951, 0.49537514143445815)),
+     (5, 6, 7)),
+]
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0])
+@pytest.mark.parametrize("F,G,orders", PROBE_PAIRS)
+def test_rescaling_probe_pairs_are_violated_at_both_scales(F, G, orders, scale):
+    F, G = scaled(F, scale), scaled(G, scale)
+    for n in orders:
+        verdict = dominates_n(F, G, n)
+        assert not verdict, n
+        assert normalised_iterated(G, n, verdict.witness) < normalised_iterated(
+            F, n, verdict.witness), n
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+def test_tail_walk_ends_where_only_the_leading_coefficient_falls(scale):
+    # E F = 1 < E G = 1 + 1e-6 while G is far more spread, so G_n - F_n turns
+    # negative only near y = 4e5 and is there below 1e-8 of F_n and G_n at
+    # every order n >= 3: the walk must stop at a finite exact violation
+    F = scaled(Discrete((0.5, 1.5), (0.5, 0.5)), scale)
+    G = scaled(Discrete((0.0, 2.0 + 2e-6), (0.5, 0.5)), scale)
+    for n in range(2, 9):
+        verdict = dominates_n(F, G, n)
+        assert not verdict, n
+        assert math.isfinite(verdict.witness), n
+        assert exact_iterated(G, n, verdict.witness) < exact_iterated(
+            F, n, verdict.witness), n
+
+
+@st.composite
+def discrete_pairs(draw):
+    """Two laws of 2-6 atoms on a grid of 1/100 with masses from small
+    integer weights, in either order.  Half the time the second law is a
+    near-shifted copy of the first: each atom moved up by a step of 0 to
+    0.5, with the same masses or new ones."""
+    def law(xs):
+        weights = draw(st.lists(st.integers(1, 20), min_size=len(xs),
+                                max_size=len(xs)))
+        return Discrete(tuple(xs), tuple(w / sum(weights) for w in weights))
+
+    def atoms():
+        return [x / 100 for x in draw(st.lists(
+            st.integers(0, 1000), min_size=2, max_size=6, unique=True))]
+
+    F = law(atoms())
+    if draw(st.booleans()):
+        steps = st.sampled_from([0.0, 1e-6, 1e-4, 1e-2, 0.5])
+        ys = [x + draw(steps) for x in F.xs]
+        assume(len(set(ys)) == len(ys))
+        G = Discrete(tuple(ys), F.ps) if draw(st.booleans()) else law(ys)
+    else:
+        G = law(atoms())
+    return (G, F) if draw(st.booleans()) else (F, G)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair=discrete_pairs(), k=st.integers(-6, 6))
+def test_discrete_verdicts_are_scale_free_with_exact_witnesses(pair, k):
+    F, G = pair
+    c = 10.0 ** k
+    for n in range(1, 9):
+        for scale in (1.0, c):
+            Fs, Gs = scaled(F, scale), scaled(G, scale)
+            verdict = dominates_n(Fs, Gs, n)
+            if scale == 1.0:
+                at_one = verdict.dominates
+            else:
+                assert verdict.dominates == at_one, (n, c)
+            if not verdict:
+                w = verdict.witness
+                assert normalised_iterated(Gs, n, w) < normalised_iterated(
+                    Fs, n, w), (n, scale, w)
+
+
+# ---- the quadrature grid path: lognormal and mixed pairs ------------------------
+
+def test_levy_lognormal_pairs_dominate_from_order_2():
+    # s_F < s_G and E F > E G: F dominates G at order 2 (Levy 1973), so at
+    # every higher order
+    F, G = Lognormal(0.0, 0.1), Lognormal(-0.2, 0.4)
+    assert F.mean() > G.mean()
+    for n in range(2, 9):
+        assert dominates_n(F, G, n), n
+
+
+def test_lognormal_with_smaller_mean_is_violated_at_order_2():
+    F, G = Lognormal(-0.3, 0.25), Lognormal(0.0, 0.25)
+    assert F.mean() < G.mean()
+    verdict = dominates_n(F, G, 2)
+    assert not verdict
+    assert F.iterated(2, [verdict.witness])[0] > G.iterated(
+        2, [verdict.witness])[0]
+
+
+def test_mixed_pair_verdicts_are_pinned():
+    F, G = Discrete((0.5, 1.5), (0.5, 0.5)), Lognormal(0.0, 0.25)
+    for n, want in ((2, 0.5336904790324424), (3, 0.5834735408982554)):
+        verdict = dominates_n(F, G, n)
+        assert not verdict and verdict.witness == want, n

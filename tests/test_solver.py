@@ -363,8 +363,6 @@ def test_partition_order_cap():
         pair.primal_derivative(9, 1.0)
     with pytest.raises(OrderExceeded):
         pair.optimizer_derivative(9, 1.0)
-    relaxed = ValueFunctionPair(SQRT_UTILITY, DEGENERATE, faa_order_cap=10)
-    assert math.isfinite(relaxed.primal_derivative(9, 1.0))
 
 
 def test_no_root_outside_range():
