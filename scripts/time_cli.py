@@ -35,6 +35,13 @@ INPUTS = {
     # tie floor of 1e-10: the discrete tie must be relative to be seen
     "Ftie": {"kind": "discrete", "x": [0.005, 0.1], "p": [1e-6, 0.999999]},
     "Gtie": {"kind": "discrete", "x": [0.005001, 0.01], "p": [0.5, 0.5]},
+    # s_F < s_G and E F > E G: dominance from order 2 on (Levy 1973)
+    "LNF": {"kind": "lognormal", "m": 0.0, "s2": 0.1},
+    "LNG": {"kind": "lognormal", "m": -0.2, "s2": 0.4},
+    # s_F = 0.408 > s_G = 0.403: violated near 1.68e-4, where F_2 and G_2
+    # are of order 1e-87, far below the grid's tolerance
+    "LNhidF": {"kind": "lognormal", "m": 0.0, "s2": 0.408**2},
+    "LNhidG": {"kind": "lognormal", "m": -0.098, "s2": 0.403**2},
     "log": {"kind": "log"},
     "power": {"kind": "power", "p": -1.0},
     "mixture": {"kind": "finite_order", "n": 4,
@@ -55,6 +62,10 @@ COMMANDS = {
     "dominance.order8": ["dominance", "F", "G", "--order", "8"],
     "dominance.inf": ["dominance", "F", "G", "--order", "inf"],
     "dominance.tie": ["dominance", "Ftie", "Gtie", "--order", "2"],
+    "dominance.lognormal": ["dominance", "LNF", "LNG", "--order", "2"],
+    "dominance.lognormal.inf": ["dominance", "LNF", "LNG", "--order", "inf"],
+    "dominance.lognormal.hidden": ["dominance", "LNhidF", "LNhidG",
+                                   "--order", "2"],
     "audit": ["audit", "F", "G"],
     "solve.lognormal": ["solve", "--utility", "power", "--model", "kappa"],
     "solve.discrete": ["solve", "--utility", "mixture", "--model", "deflator"],

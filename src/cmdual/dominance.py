@@ -3,8 +3,9 @@
 A law is either a finite discrete distribution or a lognormal; empirical
 samples enter as discrete laws with equal weights.  Order-n dominance
 compares n-fold iterated CDFs pointwise, infinite-order dominance compares
-Laplace transforms on a z-grid, and both verdicts can be cross-examined
-against sampled families of decreasing test functions.  Both orders are
+Laplace transforms on a z-grid, two lognormals are decided at either in
+closed form, and verdicts can be cross-examined against sampled families
+of decreasing test functions.  Both orders are
 decided for a whole rectangle of row and column laws at once, each law
 evaluated once; a single pair is the one-by-one rectangle.
 """
@@ -408,14 +409,15 @@ def discrete_witness_table(rows, cols, n: int) -> np.ndarray:
     lead = np.abs(rise) > _tie(last_g, last_f)
     top = n - 1 - lead[:, ::-1].argmax(axis=1)
     falls = lead.any(axis=1) & (rise[np.arange(top.size), top] < 0)
-    # and a falling pair's witness starts 1 past that knot and doubles until
-    # its tail polynomial falls below the tie of F's and G's tail values
-    # there, all three cut at that coefficient, so the walk ends
+    # and a falling pair's witness starts at twice that knot, so it scales
+    # with the laws, and doubles until its tail polynomial falls below the
+    # tie of F's and G's tail values there, all three cut at that
+    # coefficient, so the walk ends
     tail = np.flatnonzero(falls & np.isnan(out).ravel())
     end = knots[last.ravel()[tail]]
     coeffs = (np.stack((rise[tail], last_f[tail], last_g[tail]))
               * (np.arange(n) <= top[tail, None]) / fac[:, 0])
-    y, walk = end + 1.0, np.ones(tail.size, dtype=bool)
+    y, walk = 2.0 * end, np.ones(tail.size, dtype=bool)
     while walk.any():
         d, fv, gv = _horner(coeffs[:, walk], y[walk] - end[walk])
         walk[walk] = d >= -_tie(gv, fv)
@@ -479,20 +481,81 @@ def _grid_violation(F: Distribution, G: Distribution, n: int) -> float:
                             lambda law, grid: law.iterated(n, grid), _tol)[0, 0]
 
 
+def _levy_dominates(F: Lognormal, G: Lognormal, order: float) -> bool:
+    """Does lognormal F dominate lognormal G at ``order`` (math.inf: at
+    infinite order)?  Exact, with no tolerance:
+
+    - at order 1 iff s_F = s_G and m_F >= m_G;
+    - at every order n >= 2 and at infinite order iff s_F <= s_G and
+      m_F + s_F^2/2 >= m_G + s_G^2/2, i.e. E F >= E G; the sign of the
+      fsum of the four terms is that of their exact sum.
+
+    Order 1: F_1(y) = Phi((ln y - m_F)/s_F) and G_1 are normal CDFs of
+    ln y, which cross unless s_F = s_G; with equal slopes F_1 <= G_1 iff
+    m_F >= m_G.  Sufficiency from order 2 on: the conditions give order 2
+    (H. Levy, "Stochastic dominance among log-normal prospects",
+    International Economic Review 14, 1973), and order n implies order
+    n + 1 and infinite order.  Necessity of E F >= E G: as y -> inf,
+    G_n(y) - F_n(y) = (E F - E G) y^(n-2)/(n-2)! + O(y^(n-3)), and as
+    z -> 0, (E e^-zG - E e^-zF)/z -> E F - E G.  Necessity of s_F <= s_G:
+    if s_F > s_G the CDFs cross once, at
+    y* = exp((m_F s_G - m_G s_F)/(s_G - s_F)), and F_1 > G_1 on (0, y*);
+    integrating n - 1 times gives F_n > G_n on (0, y*] for every n.  At
+    infinite order, E e^-zF - E e^-zG = int z e^-zy (F_1 - G_1)(y) dy.  Its
+    integrand is positive on (0, y*), and G_1 <= F_1/2 near 0 since
+    G_1/F_1 -> 0 there, so for z large (1/(2z), 1/z) alone adds at least
+    e^-1 F_1(1/(2z)) / 4, which decays like exp(-(ln z)^2 / (2 s_F^2));
+    past y* it loses at most e^(-z y*), so the difference is positive.
+    """
+    if order == 1:
+        return F.s2 == G.s2 and F.m >= G.m
+    return F.s2 <= G.s2 and math.fsum((F.m, F.s2 / 2, -G.m, -G.s2 / 2)) >= 0
+
+
+def _lognormal_verdict(F: Lognormal, G: Lognormal,
+                       order: float) -> DominanceVerdict:
+    """The verdict of ``_levy_dominates``, with a witness where it fails.
+
+    A dominating pair returns at once.  A violated pair's witness is the
+    one the grid of a pair of any kinds finds (``_grid_violation``, or
+    ``laplace_witness_table`` at infinite order).  Where it finds none, or
+    fails, the violation lies below what the grid resolves: at a finite
+    order with s_F > s_G the witness is y*/2, where F_n > G_n at every
+    order (see ``_levy_dominates``); otherwise the verdict has no witness.
+    """
+    if _levy_dominates(F, G, order):
+        return DominanceVerdict(True, None, order)
+    try:
+        witness = (laplace_witness_table([F], [G])[0, 0] if order == math.inf
+                   else _grid_violation(F, G, order))
+    except QuadratureFailure:
+        witness = math.nan
+    if math.isnan(witness) and order != math.inf and F.s > G.s:
+        log_crossing = (F.m * G.s - G.m * F.s) / (G.s - F.s)
+        if -744.0 < log_crossing < 709.0:  # y*/2 a positive finite double
+            witness = math.exp(log_crossing) / 2.0
+    return DominanceVerdict(
+        False, None if math.isnan(witness) else float(witness), order)
+
+
 def dominates_n(F: Distribution, G: Distribution, n: int) -> DominanceVerdict:
     """Does F dominate G at order n, i.e. F_n <= G_n everywhere?
 
     For discrete pairs the comparison is exact piecewise polynomial
     analysis (``discrete_witness_table`` on one pair) including interior
-    minima; mixed kinds fall back to a refined grid whose verdict must be
-    stable across two refinements.  Ties count as dominance: relative on
-    the exact path, with the floor ABS_TOL added on the grid.
+    minima, and two lognormals are decided in closed form
+    (``_levy_dominates``); mixed kinds fall back to a refined grid whose
+    verdict must be stable across two refinements.  Ties count as
+    dominance: relative on the exact path, with the floor ABS_TOL added on
+    the grid.
     """
     if n < 1 or n != int(n):
         raise ValueError("n must be an integer >= 1")
     n = int(n)
     if isinstance(F, Discrete) and isinstance(G, Discrete):
         return _verdict(discrete_witness_table([F], [G], n)[0, 0], n)
+    if isinstance(F, Lognormal) and isinstance(G, Lognormal):
+        return _lognormal_verdict(F, G, n)
     return _verdict(_grid_violation(F, G, n), n)
 
 
@@ -516,8 +579,12 @@ def laplace_witness_table(rows, cols) -> np.ndarray:
 def dominates_inf(F: Distribution, G: Distribution) -> DominanceVerdict:
     """Does F dominate G at infinite order: E[e^-z xi_F] <= E[e^-z xi_G] for z > 0?
 
-    ``laplace_witness_table`` on one pair.
+    ``laplace_witness_table`` on one pair; two lognormals are decided in
+    closed form (``_levy_dominates``), and the table only finds the
+    witness of a violated one.
     """
+    if isinstance(F, Lognormal) and isinstance(G, Lognormal):
+        return _lognormal_verdict(F, G, math.inf)
     return _verdict(laplace_witness_table([F], [G])[0, 0], math.inf)
 
 

@@ -528,3 +528,14 @@ def test_wide_lognormal_dominance_fails_quietly(files, tmp_path, capsys):
         warnings.simplefilter("always")
         assert main(["dominance", wide, files["delta1"]]) == 3
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_wide_dominating_lognormal_pair_is_decided(tmp_path, capsys):
+    # log-variances 400 and 401 are too wide for the Gauss-Hermite ladder,
+    # but s_F <= s_G and E F >= E G decide the pair without it
+    F = write(tmp_path, "F.json", {"kind": "lognormal", "m": 0.0, "s2": 400.0})
+    G = write(tmp_path, "G.json", {"kind": "lognormal", "m": -1.0, "s2": 401.0})
+    code, out = run_cli(["dominance", "--order", "inf", F, G], capsys)
+    assert code == 0
+    assert json.loads(out) == {"verdict": "dominates", "order": "inf",
+                               "witness": None}

@@ -5,6 +5,7 @@ import os
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +21,7 @@ from cmdual.dominance import (
     Discrete,
     Distribution,
     Lognormal,
+    _grid_violation,
     _interior_witness,
     discrete_witness_table,
     dominates_inf,
@@ -554,7 +556,7 @@ def test_violation_past_the_last_knot_is_found_by_the_tail_walk(monkeypatch):
     # G_n - F_n stays positive up to the last atom 1.5 and then falls
     # without an interior minimum (E F = 1 < E G = 1.125), so no knot and no
     # interval finds the violation: the walk past the last knot does,
-    # starting at 2.5 and doubling; the witnesses are pinned
+    # starting at 3, twice that knot, and doubling; the witnesses are pinned
     F, G = Discrete.point(1.0), Discrete((0.0, 1.5), (0.25, 0.75))
     interior = []
 
@@ -563,12 +565,28 @@ def test_violation_past_the_last_knot_is_found_by_the_tail_walk(monkeypatch):
         return interior[-1]
 
     monkeypatch.setattr(dominance, "_interior_witness", recorded)
-    for n, want in zip(range(3, 9), (5.0, 5.0, 10.0, 10.0, 20.0, 20.0)):
+    for n, want in zip(range(3, 9), TAIL_WALK_WITNESSES):
         interior.clear()
         verdict = dominates_n(F, G, n)
         assert len(interior) == 1 and np.isnan(interior[0]).all(), n
         assert verdict.witness == want, n
         assert exact_iterated(G, n, want) < exact_iterated(F, n, want)
+
+
+# the tail walk's witnesses at orders 3-8, in units of the pair's scale
+TAIL_WALK_WITNESSES = (3.0, 6.0, 12.0, 12.0, 12.0, 24.0)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_tail_walk_scales_with_the_laws(c):
+    # the walk starts at twice the last knot, not a fixed distance past it,
+    # so rescaling both laws rescales its witnesses
+    F, G = Discrete.point(c), Discrete((0.0, 1.5 * c), (0.25, 0.75))
+    for n, want in zip(range(3, 9), TAIL_WALK_WITNESSES):
+        verdict = dominates_n(F, G, n)
+        assert not verdict and verdict.witness / c == want, (n, c)
+        assert exact_iterated(G, n, verdict.witness) < exact_iterated(
+            F, n, verdict.witness), (n, c)
 
 
 @pytest.mark.parametrize("scale", [1.0, 10.0])
@@ -735,6 +753,97 @@ def test_lognormal_with_smaller_mean_is_violated_at_order_2():
     assert not verdict
     assert F.iterated(2, [verdict.witness])[0] > G.iterated(
         2, [verdict.witness])[0]
+
+
+def mp_lognormal_iterated(d, n, y):
+    """F_n(y) of a lognormal at 50 digits: the integral over u = ln t < ln y
+    of (y - e^u)**(n-1) / (n-1)! times the normal density of u."""
+    with mpmath.workdps(50):
+        m, s, y = mpmath.mpf(d.m), mpmath.sqrt(mpmath.mpf(d.s2)), mpmath.mpf(y)
+        log_y = mpmath.log(y)
+        return mpmath.quad(lambda u: (y - mpmath.exp(u)) ** (n - 1)
+                           * mpmath.npdf(u, m, s),
+                           [-mpmath.inf, log_y - 1, log_y]) / mpmath.factorial(n - 1)
+
+
+# s_F = 0.408 > s_G = 0.403, so F's left tail is the heavier one and F never
+# dominates G, although E F > E G; F_n - G_n is of order 1e-87 where it is
+# positive, far below the grid's tolerance
+HIDDEN_F, HIDDEN_G = Lognormal(0.0, 0.408**2), Lognormal(-0.098, 0.403**2)
+
+
+def test_lognormal_violation_below_the_grid_tolerance_is_found():
+    F, G = HIDDEN_F, HIDDEN_G
+    assert F.mean() > G.mean()
+    # the CDFs cross at y*, and F_n > G_n on (0, y*] at every order
+    half = math.exp((F.m * G.s - G.m * F.s) / (G.s - F.s)) / 2.0
+    assert half == pytest.approx(1.68e-4, rel=1e-2)
+    for n in (1, 2, 3, 8):
+        verdict = dominates_n(F, G, n)
+        assert not verdict and verdict.witness == half, n
+        assert mp_lognormal_iterated(G, n, half) < mp_lognormal_iterated(
+            F, n, half), n
+    verdict = dominates_inf(F, G)
+    assert not verdict and verdict.witness is None
+
+
+def test_dominating_lognormal_pair_evaluates_neither_law(monkeypatch):
+    calls = []
+
+    def counted(name):
+        method = getattr(Lognormal, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in ("iterated", "laplace"):
+        monkeypatch.setattr(Lognormal, name, counted(name))
+    F, G = Lognormal(0.0, 0.1), Lognormal(-0.2, 0.4)
+    assert all(dominates_n(F, G, n) for n in range(2, 9))
+    assert dominates_inf(F, G)
+    assert dominates_n(Lognormal(0.1, 0.25), Lognormal(0.0, 0.25), 1)
+    assert calls == []
+
+
+@st.composite
+def lognormal_pairs(draw):
+    """F and G with log-variances in [0.01, 2], G's a multiple of F's near
+    1 or far from it, and E F / E G = e^gap with gap near 0 or far from it."""
+    m = draw(st.floats(-1.0, 1.0))
+    s2 = draw(st.floats(0.01, 2.0))
+    s2_g = s2 * draw(st.sampled_from([1.0, 1.0 + 1e-6, 1.0 - 1e-6, 1.05,
+                                      0.95, 2.0, 0.5]))
+    gap = draw(st.sampled_from([0.0, 1e-9, -1e-9, 1e-3, -1e-3, 0.3, -0.3]))
+    return Lognormal(m, s2), Lognormal(m + s2 / 2 - s2_g / 2 - gap, s2_g)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pair=lognormal_pairs())
+def test_lognormal_verdicts_nest_are_antisymmetric_and_meet_the_grid(pair):
+    F, G = pair
+    orders = (*range(1, 9), math.inf)
+
+    def verdicts(F, G):
+        return [bool(dominates_n(F, G, n) if n != math.inf
+                     else dominates_inf(F, G)) for n in orders]
+
+    forward, backward = verdicts(F, G), verdicts(G, F)
+    for row in (forward, backward):
+        # order n implies order n + 1 and infinite order
+        assert all(not a or b for a, b in zip(row, row[1:])), row
+    if any(a and b for a, b in zip(forward, backward)):
+        assert (F.m, F.s2) == (G.m, G.s2)
+    # a witness that the quadrature grid finds is never called dominance
+    for (A, B), row in (((F, G), forward), ((G, F), backward)):
+        for n, dominates in zip(orders, row):
+            try:
+                witness = (_grid_violation(A, B, n) if n != math.inf
+                           else laplace_witness_table([A], [B])[0, 0])
+            except QuadratureFailure:
+                continue
+            assert not (dominates and math.isfinite(witness)), (A, B, n)
 
 
 def test_mixed_pair_verdicts_are_pinned():
