@@ -42,6 +42,10 @@ INPUTS = {
     # are of order 1e-87, far below the grid's tolerance
     "LNhidF": {"kind": "lognormal", "m": 0.0, "s2": 0.408**2},
     "LNhidG": {"kind": "lognormal", "m": -0.098, "s2": 0.403**2},
+    # s_F = 0.403 < s_G = 0.408: violated at order 1 only past the CDF
+    # crossing y* ~ 2694, where both CDFs round to 1
+    "LNtailF": {"kind": "lognormal", "m": 0.0, "s2": 0.403**2},
+    "LNtailG": {"kind": "lognormal", "m": -0.098, "s2": 0.408**2},
     "log": {"kind": "log"},
     "power": {"kind": "power", "p": -1.0},
     "mixture": {"kind": "finite_order", "n": 4,
@@ -66,7 +70,13 @@ COMMANDS = {
     "dominance.lognormal.inf": ["dominance", "LNF", "LNG", "--order", "inf"],
     "dominance.lognormal.hidden": ["dominance", "LNhidF", "LNhidG",
                                    "--order", "2"],
+    "dominance.lognormal.tail": ["dominance", "LNtailF", "LNtailG",
+                                 "--order", "1"],
     "audit": ["audit", "F", "G"],
+    "audit.lognormal": ["audit", "LNF", "LNG"],
+    # G's smaller mean shows on the sampled functions, so this prints a
+    # counterexample (F against G passes: its violation is too deep)
+    "audit.lognormal.violated": ["audit", "LNhidG", "LNhidF", "--order", "2"],
     "solve.lognormal": ["solve", "--utility", "power", "--model", "kappa"],
     "solve.discrete": ["solve", "--utility", "mixture", "--model", "deflator"],
     "derivatives": ["derivatives", "--utility", "log", "--model", "kappa"],

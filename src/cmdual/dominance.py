@@ -7,7 +7,10 @@ Laplace transforms on a z-grid, two lognormals are decided at either in
 closed form, and verdicts can be cross-examined against sampled families
 of decreasing test functions.  Both orders are
 decided for a whole rectangle of row and column laws at once, each law
-evaluated once; a single pair is the one-by-one rectangle.
+evaluated once; a single pair is the one-by-one rectangle.  The audit
+likewise draws its whole family first and evaluates each law's Laplace
+transform once, on all the family's rates, each function's rates settling
+on their own.
 """
 
 from __future__ import annotations
@@ -73,8 +76,9 @@ class Distribution:
     def iterated(self, n, ys):
         raise NotImplementedError
 
-    def laplace(self, z):
-        """E[exp(-z*xi)]."""
+    def laplace(self, z, groups=None):
+        """E[exp(-z*xi)]; ``groups`` labels the entries of a 1-d ``z`` that
+        a quadrature may settle group by group (an exact law ignores it)."""
         raise NotImplementedError
 
     def mean(self):
@@ -151,7 +155,7 @@ class Discrete(Distribution):
                 else (xs[None, :] <= ys[:, None]) @ ps for m in ([n] if single else n)]
         return rows[0] if single else np.array(rows)
 
-    def laplace(self, z):
+    def laplace(self, z, groups=None):
         xs, ps = self._xp
         z = np.asarray(z, dtype=float)
         val = np.exp(-np.multiply.outer(z, xs)) @ ps
@@ -220,7 +224,7 @@ class Lognormal(Distribution):
         out = np.exp(logs) @ signs / math.factorial(n - 1)
         return np.where(ys > 0, out, 0.0)
 
-    def rule(self, probe) -> QuadratureRule:
+    def rule(self, probe, groups=None) -> QuadratureRule:
         """Gauss-Hermite rule for E[probe(xi)], doubled from MIN_NODES nodes.
 
         ``probe`` maps the outcome array to per-outcome values (one row per
@@ -229,28 +233,57 @@ class Lognormal(Distribution):
         or some component is non-finite; the caller decides what a
         non-finite expectation means.  Raises QuadratureFailure if
         MAX_NODES nodes do not settle it.
+
+        ``groups`` labels each component of a 1-d expectation with an
+        integer group, and each group then stops on its own: at the
+        doubling where all its components settle or one turns non-finite,
+        which is where a rule on that group alone would stop.  The probe is
+        called as ``probe(xi, cols)`` for the components ``cols`` of the
+        groups still open, a group MAX_NODES nodes do not settle reads NaN
+        instead of raising, and the nodes and weights returned are the last
+        ones used.
         """
-        prev = None
+        cols = out = prev = None
+        if groups is not None:
+            # a NaN previous value settles nothing
+            cols, prev = np.arange(len(groups)), np.full(len(groups), np.nan)
+            out = np.full(len(groups), np.nan)
         nodes = MIN_NODES
         while True:
             t, w = _hermite_rule(nodes)
             # a non-finite value is returned or raised below, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
                 xi = np.exp(self.m + self.s * math.sqrt(2.0) * t)
-                val = w @ probe(xi)
-            settled = prev is not None and np.all(
+                val = w @ (probe(xi) if cols is None else probe(xi, cols))
+            settled = prev is not None and (
                 np.abs(val - prev) <= 1e-10 * (1.0 + np.abs(val)))
-            if settled or not np.all(np.isfinite(val)):
-                return QuadratureRule(xi, w, val)
+            if cols is None:
+                if np.all(settled) or not np.all(np.isfinite(val)):
+                    return QuadratureRule(xi, w, val)
+            else:
+                label, count = groups[cols], len(groups)
+                done = ((np.bincount(label, ~settled, count) == 0)
+                        | (np.bincount(label, ~np.isfinite(val), count) > 0))
+                stop = done[label]
+                out[cols[stop]] = val[stop]
+                cols, val = cols[~stop], val[~stop]
+                if cols.size == 0:
+                    return QuadratureRule(xi, w, out)
             if nodes >= MAX_NODES:
-                raise QuadratureFailure(
-                    f"Gauss-Hermite expectation unsettled at {nodes} nodes")
+                if cols is None:
+                    raise QuadratureFailure(
+                        f"Gauss-Hermite expectation unsettled at {nodes} nodes")
+                return QuadratureRule(xi, w, out)
             prev = val
             nodes *= 2
 
-    def laplace(self, z):
+    def laplace(self, z, groups=None):
+        """E[exp(-z*xi)]; ``groups`` settles each group of the entries of a
+        1-d ``z`` on its own (see ``rule``), NaN where MAX_NODES do not."""
         z = np.asarray(z, dtype=float)
-        val = self.rule(lambda xi: np.exp(-np.multiply.outer(xi, z))).value
+        val = self.rule(
+            lambda xi, cols=...: np.exp(-np.multiply.outer(xi, z[cols])),
+            groups).value
         return float(val) if z.ndim == 0 else val
 
     def mean(self):
@@ -519,9 +552,12 @@ def _lognormal_verdict(F: Lognormal, G: Lognormal,
     A dominating pair returns at once.  A violated pair's witness is the
     one the grid of a pair of any kinds finds (``_grid_violation``, or
     ``laplace_witness_table`` at infinite order).  Where it finds none, or
-    fails, the violation lies below what the grid resolves: at a finite
-    order with s_F > s_G the witness is y*/2, where F_n > G_n at every
-    order (see ``_levy_dominates``); otherwise the verdict has no witness.
+    fails, the violation lies below what the grid resolves.  At a finite
+    order with s_F > s_G the witness is then y*/2, where F_n > G_n at every
+    order (see ``_levy_dominates``).  At order 1 with s_F < s_G it is 2 y*:
+    the scores (ln y - m)/s of F and G differ by a linear function of ln y
+    with slope 1/s_F - 1/s_G > 0 that vanishes at y*, so F_1 > G_1 on all
+    of (y*, inf).  Any other pair's verdict has no witness.
     """
     if _levy_dominates(F, G, order):
         return DominanceVerdict(True, None, order)
@@ -530,10 +566,12 @@ def _lognormal_verdict(F: Lognormal, G: Lognormal,
                    else _grid_violation(F, G, order))
     except QuadratureFailure:
         witness = math.nan
-    if math.isnan(witness) and order != math.inf and F.s > G.s:
+    if (math.isnan(witness) and order != math.inf
+            and (F.s > G.s or (order == 1 and F.s < G.s))):
         log_crossing = (F.m * G.s - G.m * F.s) / (G.s - F.s)
-        if -744.0 < log_crossing < 709.0:  # y*/2 a positive finite double
-            witness = math.exp(log_crossing) / 2.0
+        # y*/2 and 2 y* positive finite doubles
+        if -744.0 < log_crossing < 709.0:
+            witness = math.exp(log_crossing) * (0.5 if F.s > G.s else 2.0)
     return DominanceVerdict(
         False, None if math.isnan(witness) else float(witness), order)
 
@@ -654,30 +692,49 @@ def test_function_audit(F: Distribution, G: Distribution, order: float,
     sum_j c_j exp(-z_j t) (up to sign) are added.  The dominant law must give
     the smaller expectation for every sampled function; the first failure is
     returned as a counterexample.
+
+    The whole family is drawn first, then each law's Laplace transform is
+    evaluated once, on all the family's rates, with each function's rates
+    settling on their own (``Lognormal.rule``'s groups): the values a call
+    per function would give.  The functions are then checked in draw order.
+    At the audit's finite positive rates a Laplace value is finite, so a
+    NaN marks a rate MAX_NODES nodes did not settle, and QuadratureFailure
+    is raised when the check reaches the first function that uses one.
     """
     rng = np.random.default_rng(seed)
     lo, hi = math.log(Z_RANGE[0]), math.log(Z_RANGE[1])
     finite = order != math.inf
     n = int(order) if finite else None
-    tested = 0
+    family = []
     for i in range(family_size):
-        mixture = finite and (i % 2 == 1)
-        if mixture:
+        if finite and i % 2 == 1:
             j = rng.integers(2, 6)
             zs = np.exp(rng.uniform(lo, hi, size=j))
             cs = rng.uniform(0.1, 1.0, size=j)
-            weights = cs / zs**n
+            family.append((zs, cs / zs**n))
         else:
-            zs = np.array([math.exp(rng.uniform(lo, hi))])
-            weights = np.array([1.0])
-        ef = float(np.dot(weights, np.asarray(F.laplace(zs))))
-        eg = float(np.dot(weights, np.asarray(G.laplace(zs))))
-        tested += 1
-        if ef > eg + _tol(ef, eg):
-            return AuditReport(False, tested, {
-                "rates": zs.tolist(),
-                "weights": weights.tolist(),
-                "lhs": ef,
-                "rhs": eg,
-            })
-    return AuditReport(True, tested)
+            family.append((np.array([math.exp(rng.uniform(lo, hi))]),
+                           np.array([1.0])))
+    if not family:
+        return AuditReport(True, 0)
+    sizes = np.array([zs.size for zs, _ in family])
+    rates, weights = (np.concatenate(part) for part in zip(*family))
+    groups = np.repeat(np.arange(len(family)), sizes)
+    start = np.cumsum(sizes) - sizes
+    ef, eg = (np.add.reduceat(weights * law.laplace(rates, groups), start)
+              for law in (F, G))
+    # a NaN fails the check too, so the first failure in draw order decides
+    fail = ~(ef <= eg + _tol(ef, eg))
+    if not fail.any():
+        return AuditReport(True, len(family))
+    i = int(fail.argmax())
+    if np.isnan(ef[i]) or np.isnan(eg[i]):
+        raise QuadratureFailure(
+            f"Gauss-Hermite expectation unsettled at {MAX_NODES} nodes")
+    zs, w = family[i]
+    return AuditReport(False, i + 1, {
+        "rates": zs.tolist(),
+        "weights": w.tolist(),
+        "lhs": float(ef[i]),
+        "rhs": float(eg[i]),
+    })

@@ -539,3 +539,30 @@ def test_wide_dominating_lognormal_pair_is_decided(tmp_path, capsys):
     assert code == 0
     assert json.loads(out) == {"verdict": "dominates", "order": "inf",
                                "witness": None}
+
+
+@pytest.mark.parametrize("s2,want", [(36.0, 1), (400.0, 3)])
+def test_wide_lognormal_audit_warns_nothing(files, tmp_path, capsys, s2, want):
+    # the batched Laplace ladder overflows at the far nodes of a wide law;
+    # an unsettled rate is exit 3, and neither case prints numpy warnings
+    wide = write(tmp_path, "wide_law.json",
+                 {"kind": "lognormal", "m": 0.0, "s2": s2})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for argv in ([wide, files["delta1"]],
+                     [files["delta1"], wide, "--order", "inf"]):
+            assert main(["audit", *argv]) == want
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_order_1_lognormal_witness_past_the_crossing(tmp_path, capsys):
+    # s_F < s_G: F_1 > G_1 past the CDF crossing y*, where both CDFs round
+    # to 1; the witness is 2 y*
+    F = write(tmp_path, "F.json", {"kind": "lognormal", "m": 0.0,
+                                   "s2": 0.403**2})
+    G = write(tmp_path, "G.json", {"kind": "lognormal", "m": -0.098,
+                                   "s2": 0.408**2})
+    code, out = run_cli(["dominance", "--order", "1", F, G], capsys)
+    assert code == 1
+    assert json.loads(out) == {"verdict": "violated", "order": 1,
+                               "witness": 5388.095061482995}

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -787,6 +788,33 @@ def test_lognormal_violation_below_the_grid_tolerance_is_found():
     assert not verdict and verdict.witness is None
 
 
+def mp_survival_gap(F, G, y):
+    """(1 - G_1(y)) - (1 - F_1(y)) = F_1(y) - G_1(y) for two lognormals, at
+    50 digits from the survival functions, which stay resolved where both
+    CDFs round to 1."""
+    with mpmath.workdps(50):
+        log_y = mpmath.log(mpmath.mpf(y))
+
+        def survival(d):
+            return mpmath.ncdf(-(log_y - d.m) / mpmath.sqrt(mpmath.mpf(d.s2)))
+        return survival(G) - survival(F)
+
+
+def test_order_1_violation_past_the_crossing_is_found():
+    # s_F < s_G: F_1 > G_1 on all of (y*, inf), but y* ~ 2694 lies where
+    # both CDFs round to 1, so the grid sees a tie
+    F, G = Lognormal(0.0, 0.403**2), Lognormal(-0.098, 0.408**2)
+    assert F.s < G.s and F.mean() > G.mean()
+    twice = 2.0 * math.exp((F.m * G.s - G.m * F.s) / (G.s - F.s))
+    assert twice == pytest.approx(5388.1, rel=1e-4)
+    verdict = dominates_n(F, G, 1)
+    assert not verdict and verdict.witness == twice
+    assert F.iterated(1, [twice])[0] == G.iterated(1, [twice])[0] == 1.0
+    assert mp_survival_gap(F, G, twice) > 0
+    # from order 2 on Levy's criterion holds
+    assert dominates_n(F, G, 2)
+
+
 def test_dominating_lognormal_pair_evaluates_neither_law(monkeypatch):
     calls = []
 
@@ -851,3 +879,147 @@ def test_mixed_pair_verdicts_are_pinned():
     for n, want in ((2, 0.5336904790324424), (3, 0.5834735408982554)):
         verdict = dominates_n(F, G, n)
         assert not verdict and verdict.witness == want, n
+
+
+def reference_audit(F, G, order, family_size=100, seed=0):
+    """The audit as one Laplace call per law and test function, each
+    settling on its own ladder: what the batched audit must reproduce."""
+    rng = np.random.default_rng(seed)
+    lo, hi = math.log(dominance.Z_RANGE[0]), math.log(dominance.Z_RANGE[1])
+    finite = order != math.inf
+    n = int(order) if finite else None
+    tested = 0
+    for i in range(family_size):
+        mixture = finite and (i % 2 == 1)
+        if mixture:
+            j = rng.integers(2, 6)
+            zs = np.exp(rng.uniform(lo, hi, size=j))
+            cs = rng.uniform(0.1, 1.0, size=j)
+            weights = cs / zs**n
+        else:
+            zs = np.array([math.exp(rng.uniform(lo, hi))])
+            weights = np.array([1.0])
+        ef = float(np.dot(weights, np.asarray(F.laplace(zs))))
+        eg = float(np.dot(weights, np.asarray(G.laplace(zs))))
+        tested += 1
+        if ef > eg + dominance._tol(ef, eg):
+            return dominance.AuditReport(False, tested, {
+                "rates": zs.tolist(), "weights": weights.tolist(),
+                "lhs": ef, "rhs": eg})
+    return dominance.AuditReport(True, tested)
+
+
+def audit_outcome(audit, *args, **kwargs):
+    try:
+        return audit(*args, **kwargs)
+    except QuadratureFailure as exc:
+        return type(exc)
+
+
+def assert_same_audit(got, want):
+    if isinstance(want, type) or isinstance(got, type):
+        assert got == want
+        return
+    assert (got.ok, got.tested) == (want.ok, want.tested)
+    if want.counterexample is None:
+        assert got.counterexample is None
+        return
+    for key in ("rates", "weights"):
+        assert got.counterexample[key] == want.counterexample[key], key
+    for key in ("lhs", "rhs"):
+        a, b = got.counterexample[key], want.counterexample[key]
+        assert abs(a - b) <= 1e-14 * max(abs(a), abs(b)), (key, a, b)
+
+
+@st.composite
+def audit_laws(draw):
+    """A lognormal (log-variance up to 4, which 128 nodes do not settle at
+    most rates) or a discrete law of 1-4 atoms in [0, 5]."""
+    if draw(st.booleans()):
+        return Lognormal(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.01, 4.0)))
+    xs = draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4,
+                       unique=True))
+    ws = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(xs),
+                                max_size=len(xs))))
+    return Discrete(tuple(xs), tuple(ws / ws.sum()))
+
+
+def shrunk(d):
+    """A law that ``d`` dominates at first order, so at every order."""
+    if isinstance(d, Lognormal):
+        return Lognormal(d.m - 0.3, d.s2)
+    return Discrete(tuple(0.5 * x for x in d.xs), d.ps)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(F=audit_laws(), G=audit_laws(), dominated=st.booleans(),
+       order=st.sampled_from([1, 2, 3, 8, math.inf]),
+       seed=st.integers(0, 2**16),
+       family_size=st.sampled_from([0, 1, 5, 100, 100]),
+       max_nodes=st.sampled_from([4096, 4096, 128, 256]))
+def test_audit_matches_one_laplace_call_per_function(F, G, dominated, order,
+                                                     seed, family_size,
+                                                     max_nodes):
+    if dominated:
+        G = shrunk(F)
+    with mock.patch.object(dominance, "MAX_NODES", max_nodes):
+        want = audit_outcome(reference_audit, F, G, order, family_size, seed)
+        got = audit_outcome(function_audit, F, G, order, family_size, seed)
+    assert_same_audit(got, want)
+
+
+def test_audit_evaluates_each_law_once(monkeypatch):
+    calls = []
+
+    def counted(cls):
+        method = cls.laplace
+
+        def wrapper(self, *args, **kwargs):
+            calls.append(self)
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    for cls in (Lognormal, Discrete):
+        monkeypatch.setattr(cls, "laplace", counted(cls))
+    F, G = Lognormal(0.0, 0.1), Lognormal(-0.2, 0.4)
+    for A, B in ((F, G), (DELTA2, DELTA1), (DELTA2, F), (F, UNIF02)):
+        for order in (2, math.inf):
+            calls.clear()
+            rep = function_audit(A, B, order)
+            assert calls == [A, B], (A, B, order, rep)
+
+
+def test_empty_audit_passes():
+    for F, G in ((DELTA1, DELTA2), (Lognormal(0.0, 1.0), DELTA1)):
+        assert function_audit(F, G, 2, family_size=0) == dominance.AuditReport(
+            True, 0)
+
+
+def test_audit_fails_only_where_the_walk_meets_an_unsettled_rate(monkeypatch):
+    # at 128 nodes LN(0, 4) settles only its smallest rates; with seed 3 the
+    # first function (rate 4.8e-4) is already a counterexample, so the
+    # unsettled rates later in the family never matter, while with seed 0
+    # the walk meets one first
+    monkeypatch.setattr(dominance, "MAX_NODES", 128)
+    F, G = Lognormal(0.0, 4.0), Discrete.point(100.0)
+    with pytest.raises(QuadratureFailure):
+        F.laplace(1.0)
+    for order in (2, math.inf):
+        rep = function_audit(F, G, order, seed=3)
+        assert not rep and rep.tested == 1
+        assert rep.counterexample["rates"] == [0.00048438795711668384]
+        assert_same_audit(rep, reference_audit(F, G, order, seed=3))
+        with pytest.raises(QuadratureFailure, match="at 128 nodes"):
+            function_audit(F, G, order, seed=0)
+        with pytest.raises(QuadratureFailure):
+            reference_audit(F, G, order, seed=0)
+
+
+def test_grouped_rule_settles_each_group_on_its_own():
+    d = Lognormal(0.0, 1.0)
+    zs = np.array([1e-3, 0.5, 2.0, 40.0, 1e3])
+    groups = np.array([0, 1, 1, 2, 3])
+    got = d.laplace(zs, groups)
+    for g in range(4):
+        want = d.laplace(zs[groups == g])
+        np.testing.assert_allclose(got[groups == g], want, rtol=4e-16, atol=0)
