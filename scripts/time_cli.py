@@ -35,6 +35,12 @@ INPUTS = {
     # tie floor of 1e-10: the discrete tie must be relative to be seen
     "Ftie": {"kind": "discrete", "x": [0.005, 0.1], "p": [1e-6, 0.999999]},
     "Gtie": {"kind": "discrete", "x": [0.005001, 0.01], "p": [0.5, 0.5]},
+    # E F is 0.12 below E G, but the Laplace transforms cross only below
+    # z = 1e-4, the grid's lower end
+    "Frange": {"kind": "discrete", "x": [0.0, 1.749338935139],
+               "p": [0.6568808150019195, 0.34311918499808053]},
+    "Grange": {"kind": "discrete", "x": [0.0, 4909.782594590136],
+               "p": [0.9998527513563573, 0.00014724864364278138]},
     # s_F < s_G and E F > E G: dominance from order 2 on (Levy 1973)
     "LNF": {"kind": "lognormal", "m": 0.0, "s2": 0.1},
     "LNG": {"kind": "lognormal", "m": -0.2, "s2": 0.4},
@@ -66,6 +72,7 @@ COMMANDS = {
     "dominance.order8": ["dominance", "F", "G", "--order", "8"],
     "dominance.inf": ["dominance", "F", "G", "--order", "inf"],
     "dominance.tie": ["dominance", "Ftie", "Gtie", "--order", "2"],
+    "dominance.inf.range": ["dominance", "Frange", "Grange", "--order", "inf"],
     "dominance.lognormal": ["dominance", "LNF", "LNG", "--order", "2"],
     "dominance.lognormal.inf": ["dominance", "LNF", "LNG", "--order", "inf"],
     "dominance.lognormal.hidden": ["dominance", "LNhidF", "LNhidG",

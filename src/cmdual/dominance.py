@@ -3,9 +3,10 @@
 A law is either a finite discrete distribution or a lognormal; empirical
 samples enter as discrete laws with equal weights.  Order-n dominance
 compares n-fold iterated CDFs pointwise, infinite-order dominance compares
-Laplace transforms on a z-grid, two lognormals are decided at either in
-closed form, and verdicts can be cross-examined against sampled families
-of decreasing test functions.  Both orders are
+Laplace transforms on a z-grid (for discrete laws also the exact signs of
+their difference as z -> 0+ and z -> inf), two lognormals are decided at
+either in closed form, and verdicts can be cross-examined against sampled
+families of decreasing test functions.  Both orders are
 decided for a whole rectangle of row and column laws at once, each law
 evaluated once; a single pair is the one-by-one rectangle.  The audit
 likewise draws its whole family first and evaluates each law's Laplace
@@ -35,6 +36,7 @@ __all__ = [
     "dominates_inf",
     "discrete_witness_table",
     "laplace_witness_table",
+    "laplace_end_violated",
     "expectation_vs_iterated",
     "test_function_audit",
     "DominanceVerdict",
@@ -118,6 +120,18 @@ class Discrete(Distribution):
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
         ps = np.asarray(self.ps, dtype=float)
+        self._check(xs, ps)
+        order = np.argsort(xs)
+        xs, ps = xs[order], ps[order]
+        if np.any(np.diff(xs) == 0):
+            raise ValueError("support points must be distinct")
+        object.__setattr__(self, "xs", tuple(xs))
+        object.__setattr__(self, "ps", tuple(ps))
+        # the same values as arrays, converted once for every evaluation
+        object.__setattr__(self, "_xp", (_read_only(xs), _read_only(ps)))
+
+    @staticmethod
+    def _check(xs, ps):
         if xs.ndim != 1 or xs.shape != ps.shape or xs.size == 0:
             raise ValueError("support and probabilities must match and be nonempty")
         # written so that a NaN fails each check
@@ -127,14 +141,17 @@ class Discrete(Distribution):
             raise ValueError("probabilities must be strictly positive")
         if not abs(ps.sum() - 1.0) <= 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
-        order = np.argsort(xs)
-        xs, ps = xs[order], ps[order]
-        if np.any(np.diff(xs) == 0):
-            raise ValueError("support points must be distinct")
-        object.__setattr__(self, "xs", tuple(xs))
-        object.__setattr__(self, "ps", tuple(ps))
-        # the same values as arrays, converted once for every evaluation
-        object.__setattr__(self, "_xp", (_read_only(xs), _read_only(ps)))
+
+    @classmethod
+    def _sorted(cls, xs, ps) -> "Discrete":
+        """The law of float arrays ``xs`` (ascending and distinct) and
+        ``ps``, checked as the constructor checks them but not re-sorted."""
+        cls._check(xs, ps)
+        law = object.__new__(cls)
+        object.__setattr__(law, "xs", tuple(xs.tolist()))
+        object.__setattr__(law, "ps", tuple(ps.tolist()))
+        object.__setattr__(law, "_xp", (_read_only(xs), _read_only(ps)))
+        return law
 
     @classmethod
     def from_sample(cls, sample) -> "Discrete":
@@ -614,16 +631,42 @@ def laplace_witness_table(rows, cols) -> np.ndarray:
         lambda f, g: 1e-10 * np.maximum(f, g) + 1e-300)
 
 
+def laplace_end_violated(F: Discrete, G: Discrete) -> bool:
+    """Does d(z) = E[e^-z xi_G] - E[e^-z xi_F] have the wrong sign at an
+    end of z > 0, so that F cannot dominate G at infinite order?  Exact,
+    with each comparison tied at REL_TOL of the larger of its two values:
+
+    - as z -> 0+, d(z) = z (E F - E G) + O(z^2), so E F < E G fails;
+    - as z -> inf, the lowest atom x where F's and G's masses p and q
+      differ decides, d(z) = (q - p) e^(-z x) (1 + o(1)), so p > q fails.
+    """
+    mean_f, mean_g = F.mean(), G.mean()
+    if mean_g - mean_f > REL_TOL * max(mean_f, mean_g):
+        return True
+    for x, p, y, q in zip(F.xs, F.ps, G.xs, G.ps):
+        if x != y:  # the lower atom has the other law's mass 0
+            return bool(x < y)
+        if p != q:
+            return bool(p - q > REL_TOL * max(p, q))
+    return len(F.xs) > len(G.xs)
+
+
 def dominates_inf(F: Distribution, G: Distribution) -> DominanceVerdict:
     """Does F dominate G at infinite order: E[e^-z xi_F] <= E[e^-z xi_G] for z > 0?
 
     ``laplace_witness_table`` on one pair; two lognormals are decided in
     closed form (``_levy_dominates``), and the table only finds the
-    witness of a violated one.
+    witness of a violated one.  A discrete pair the grid finds no witness
+    for is still violated, with no witness, where ``laplace_end_violated``
+    says so: the violation lies outside Z_RANGE or below its tie.
     """
     if isinstance(F, Lognormal) and isinstance(G, Lognormal):
         return _lognormal_verdict(F, G, math.inf)
-    return _verdict(laplace_witness_table([F], [G])[0, 0], math.inf)
+    witness = laplace_witness_table([F], [G])[0, 0]
+    if (math.isnan(witness) and isinstance(F, Discrete)
+            and isinstance(G, Discrete) and laplace_end_violated(F, G)):
+        return DominanceVerdict(False, None, math.inf)
+    return _verdict(witness, math.inf)
 
 
 class FubiniCheck(NamedTuple):

@@ -25,6 +25,7 @@ from .dominance import (
     Distribution,
     Lognormal,
     discrete_witness_table,
+    laplace_end_violated,
     laplace_witness_table,
 )
 from .duality import UtilitySpec, invert_decreasing
@@ -62,7 +63,7 @@ def merged_law(values, probs) -> Discrete:
     values = np.asarray(values, dtype=float)
     keys = np.where(values != 0, np.round(values / 1e-12) * 1e-12, 0.0)
     xs, ps = _group_sums(keys, np.asarray(probs, dtype=float))
-    return Discrete(tuple(xs), tuple(ps / ps.sum()))
+    return Discrete._sorted(xs, ps / ps.sum())
 
 
 @dataclass(frozen=True)
@@ -471,19 +472,37 @@ class EquivalenceReport:
         }
 
 
-def _conditional_dominates(probs, y_hat, others) -> bool:
-    """Check y_hat >= E[y | sigma(y_hat)] for every row y of ``others``,
-    within 1e-9 relative to 1 + |y_hat|.
+def _conditional_dominates(probs, candidates, others) -> np.ndarray:
+    """For each row y_hat of ``candidates``, whether y_hat >= E[y | sigma(y_hat)]
+    for every row y of ``others``, within 1e-9 relative to 1 + |y_hat|.
 
-    The states are grouped by equal y_hat values once, and every row's
-    conditional expectations come from one matrix product.
+    One (V, S, S) mask groups every candidate's states by equal y_hat
+    values, and one batched product gives every conditional expectation.
     """
-    keys = np.round(np.asarray(y_hat, dtype=float) / 1e-9) * 1e-9
-    levels, inverse = np.unique(keys, return_inverse=True)
-    groups = (np.arange(levels.size)[:, None] == inverse).astype(float)
-    expected = (groups @ (probs * others).T) / (groups @ probs)[:, None]
-    bound = levels + 1e-9 * (1.0 + np.abs(levels))
-    return not np.any(expected > bound[:, None])
+    keys = np.round(np.asarray(candidates, dtype=float) / 1e-9) * 1e-9
+    same = (keys[:, :, None] == keys[:, None, :]).astype(float)
+    expected = (same @ (probs * others).T) / (same @ probs)[..., None]
+    bound = keys + 1e-9 * (1.0 + np.abs(keys))
+    return ~np.any(expected > bound[..., None], axis=(1, 2))
+
+
+def _laplace_column(cand_laws, laws, settled) -> np.ndarray:
+    """Whether each candidate law dominates every vertex law at infinite
+    order, given ``settled``, the pairs that dominate at order 2 and so at
+    infinite order too.  A row with a pair whose Laplace ends fail
+    (``laplace_end_violated``) is False at once; the rows left go to one
+    ``laplace_witness_table`` over the columns they have not settled.
+    """
+    column = settled.all(axis=1)
+    rows = [i for i in np.flatnonzero(~column).tolist()
+            if not any(laplace_end_violated(cand_laws[i], laws[j])
+                       for j in np.flatnonzero(~settled[i]).tolist())]
+    if rows:
+        cols = np.flatnonzero(~settled[rows].all(axis=0))
+        hit = ~np.isnan(laplace_witness_table(
+            [cand_laws[i] for i in rows], [laws[j] for j in cols]))
+        column[rows] = ~(hit & ~settled[np.ix_(rows, cols)]).any(axis=1)
+    return column
 
 
 def sd_equivalence_audit(fm: FiniteMarket, candidate=None) -> EquivalenceReport:
@@ -493,7 +512,11 @@ def sd_equivalence_audit(fm: FiniteMarket, candidate=None) -> EquivalenceReport:
     supplied one) the audit decides whether it dominates every vertex in the
     infinite-order sense, conditionally in the sense
     Y_hat >= E[Y | sigma(Y_hat)], and in the second-order sense, and reports
-    whether the three verdicts coincide candidate by candidate.
+    whether the three verdicts coincide candidate by candidate.  The
+    second-order verdicts are exact; a pair dominating at order 2 dominates
+    at infinite order, the other pairs are first checked at the ends of the
+    Laplace transform, and only what that leaves is sampled on the z-grid
+    (``_laplace_column``).
     """
     if len(fm.probs) > 10:
         raise ValueError("audit is intended for <= 10 states")
@@ -507,14 +530,13 @@ def sd_equivalence_audit(fm: FiniteMarket, candidate=None) -> EquivalenceReport:
     else:
         candidates = [np.asarray(candidate, dtype=float)]
         cand_laws = [merged_law(candidates[0], probs)]
-    # one verdict per candidate-vertex pair, each order decided at once
-    laplace = np.isnan(laplace_witness_table(cand_laws, laws)).all(axis=1)
-    second = np.isnan(discrete_witness_table(cand_laws, laws, 2)).all(axis=1)
-    others = np.array(vertices)
+    settled = np.isnan(discrete_witness_table(cand_laws, laws, 2))
+    laplace = _laplace_column(cand_laws, laws, settled)
+    conditional = _conditional_dominates(probs, candidates, np.array(vertices))
     results = [
-        CandidateVerdicts(tuple(cand), bool(lap),
-                          _conditional_dominates(probs, cand, others), bool(sec))
-        for cand, lap, sec in zip(candidates, laplace, second)]
+        CandidateVerdicts(tuple(cand), bool(lap), bool(cond), bool(sec))
+        for cand, lap, cond, sec in zip(candidates, laplace, conditional,
+                                        settled.all(axis=1))]
     all_agree = all(r.agree for r in results)
     maximal = next((r.vertex for r in results if r.maximal), None)
     return EquivalenceReport(tuple(results), all_agree, maximal)

@@ -170,6 +170,43 @@ def test_sd_equiv(files, tmp_path, capsys):
     assert payload["maximal_vertex"] is not None
 
 
+EDGE_MARKET = {"probs": [0.4, 0.3, 0.3], "payoffs": [2.0, 0.5, 0.5]}
+EDGE_CANDIDATE = "0.8333333333333334,1.1111111111111112,1.1111111111111112"
+EDGE_REPORT = """{
+ "all_agree": true,
+ "candidates": [
+  {
+   "conditional": true,
+   "laplace_order": true,
+   "second_order": true,
+   "vertex": [
+    0.8333333333333334,
+    1.1111111111111112,
+    1.1111111111111112
+   ]
+  }
+ ],
+ "maximal_exists": true,
+ "maximal_vertex": [
+  0.8333333333333334,
+  1.1111111111111112,
+  1.1111111111111112
+ ]
+}
+"""
+
+
+@pytest.mark.parametrize("candidate, code, out, err", [
+    (EDGE_CANDIDATE, 0, EDGE_REPORT, ""),
+    ("-1,1,1", 2, "", "input error: support must lie in [0, inf)\n"),
+], ids=["edge-interior", "negative"])
+def test_sd_equiv_candidate_bytes(tmp_path, capsys, candidate, code, out, err):
+    market = write(tmp_path, "mkt.json", EDGE_MARKET)
+    assert main(["sd-equiv", "--market", market,
+                 f"--candidate={candidate}"]) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_input_error_exit_code(files, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -29,6 +29,7 @@ from cmdual.dominance import (
     dominates_n,
     expectation_vs_iterated,
     iterated_cdf,
+    laplace_end_violated,
     laplace_witness_table,
 )
 from cmdual.dominance import test_function_audit as function_audit
@@ -734,6 +735,86 @@ def test_discrete_verdicts_are_scale_free_with_exact_witnesses(pair, k):
                 w = verdict.witness
                 assert normalised_iterated(Gs, n, w) < normalised_iterated(
                     Fs, n, w), (n, scale, w)
+
+
+# F's mean is 0.12 below G's, but their Laplace transforms cross only below
+# Z_RANGE's lower end (two vertex laws of a drawn 2-state market)
+MEAN_BELOW_GRID = (
+    Discrete((0.0, 1.749338935139), (0.6568808150019195, 0.34311918499808053)),
+    Discrete((0.0, 4909.782594590136),
+             (0.9998527513563573, 0.00014724864364278138)))
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+def test_discrete_inf_verdict_sees_a_mean_violation_below_the_grid(scale):
+    F, G = (scaled(law, scale) for law in MEAN_BELOW_GRID)
+    assert F.mean() < G.mean()
+    assert laplace_end_violated(F, G)
+    verdict = dominates_inf(F, G)
+    assert not verdict
+    # the grid's witness where it finds one (at x0.01, z = 1e-4), else none
+    found = laplace_witness_table([F], [G])[0, 0]
+    assert verdict.witness == (None if math.isnan(found) else found)
+    assert (verdict.witness is None) == (scale != 0.01)
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("G", [TIE_G, Discrete((0.6, 1.0), (0.5, 0.5))],
+                         ids=["0.5001", "0.6"])
+def test_discrete_inf_verdict_sees_the_lowest_atom_at_every_scale(G, scale):
+    # F's mass 1e-6 at 0.5, below G's lowest atom, decides as z -> inf; the
+    # grid finds the crossing at z ~ 134 against 0.6 at x1 and x100 only,
+    # and never against 0.5001 (z ~ 1.3e5 at x1; e^(-50 z) underflows at
+    # x100)
+    F, G = scaled(TIE_F, scale), scaled(G, scale)
+    assert F.mean() > G.mean() and laplace_end_violated(F, G)
+    assert not dominates_inf(F, G)
+
+
+def test_laplace_ends_decide_by_the_mean_and_the_lowest_atom():
+    # a larger mean and less mass at the lowest atom pass both ends
+    assert not laplace_end_violated(DELTA2, DELTA1)
+    assert not laplace_end_violated(DELTA1, UNIF02)
+    # a smaller mean fails as z -> 0+
+    assert laplace_end_violated(DELTA1, DELTA2)
+    # equal means: more mass at the lowest atom fails as z -> inf
+    assert laplace_end_violated(UNIF02, DELTA1)
+    # equal atoms and masses pass on to the next atom, where F has mass
+    # and G none; F's extra top atom fails too
+    F = Discrete((0.0, 1.0, 4.0), (0.5, 0.3, 0.2))
+    G = Discrete((0.0, 2.0, 2.5), (0.5, 0.4, 0.1))
+    assert F.mean() > G.mean() and laplace_end_violated(F, G)
+    assert laplace_end_violated(Discrete((0.0, 1.0, 2.0), (0.5, 0.5, 1e-13)),
+                                Discrete((0.0, 1.0), (0.5, 0.5)))
+    assert not laplace_end_violated(F, F)
+    # more mass by less than the tie at the lowest atom where the masses
+    # differ decides nothing, though it is the sign of d(z) as z -> inf
+    G = Discrete((0.0, 2.0, 2.5), (0.5 - 1e-12, 0.4, 0.1 + 1e-12))
+    assert F.mean() > G.mean() and not laplace_end_violated(F, G)
+
+
+def laplace_gap(F, G, z):
+    """E e^-zG - E e^-zF at mpmath's working precision, from the exact
+    float atoms and masses."""
+    def transform(d):
+        return mpmath.fsum(mpmath.mpf(p) * mpmath.exp(-z * mpmath.mpf(x))
+                           for x, p in zip(d.xs, d.ps))
+    return transform(G) - transform(F)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair=discrete_pairs(), k=st.integers(-6, 6))
+def test_laplace_end_violations_are_real_and_scale_free(pair, k):
+    F, G = pair
+    violated = laplace_end_violated(F, G)
+    assert laplace_end_violated(scaled(F, 10.0**k), scaled(G, 10.0**k)) == violated
+    if dominates_n(F, G, 2):
+        assert not violated  # order 2 implies infinite order
+    if violated:
+        assert not dominates_inf(F, G)
+        with mpmath.workdps(50):
+            zs = (mpmath.mpf(10) ** (e / 10) for e in range(-120, 121))
+            assert any(laplace_gap(F, G, z) < 0 for z in zs), (F, G)
 
 
 # ---- the quadrature grid path: lognormal and mixed pairs ------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmdual.dominance import Discrete, dominates_inf, dominates_n
 from cmdual.duality import (
@@ -551,6 +553,110 @@ def test_batched_audit_matches_pairwise_loop():
         for candidate in (None, interior):
             got = sd_equivalence_audit(fm, candidate=candidate).to_dict()
             assert got["candidates"] == _pairwise_audit(fm, candidate), fm
+
+
+@st.composite
+def drawn_markets(draw):
+    """2-6 states with payoffs on a grid of 1/100 on both sides of s0 = 1,
+    and state weights down to 1e-4, so that vertex atoms get large."""
+    k = draw(st.integers(2, 6))
+    weights = draw(st.lists(
+        st.sampled_from([1e-4, 1e-3, 0.01]) | st.floats(1e-4, 1.0),
+        min_size=k, max_size=k))
+    payoffs = draw(st.lists(st.integers(20, 250), min_size=k, max_size=k))
+    assume(min(payoffs) < 100 < max(payoffs))
+    probs = np.array(weights) / sum(weights)
+    return FiniteMarket(tuple(probs), tuple(x / 100 for x in payoffs), 1.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fm=drawn_markets())
+def test_audit_matches_pairwise_loop_on_drawn_markets(fm):
+    vertices = fm.deflator_vertices()
+    assume(fm.has_positive_deflator(vertices))
+    for candidate in (None, np.mean(vertices, axis=0)):
+        got = sd_equivalence_audit(fm, candidate=candidate).to_dict()
+        assert got["candidates"] == _pairwise_audit(fm, candidate), fm
+        # order 2 implies infinite order
+        assert all(c["laplace_order"] for c in got["candidates"]
+                   if c["second_order"]), fm
+
+
+@pytest.mark.parametrize("fm", [
+    FiniteMarket((0.3, 0.3, 0.2, 0.2), (0.5, 0.8, 1.5, 2.0), 1.0),
+    FiniteMarket((0.4, 0.3, 0.3), (2.0, 0.5, 0.5), 1.0),
+], ids=["4-state", "3-state"])
+def test_settled_audit_evaluates_no_laplace_transform(fm, monkeypatch):
+    # every candidate dominates every vertex at order 2 or fails at an end
+    # of the Laplace transform, so nothing is left for the z-grid
+    report = sd_equivalence_audit(fm)
+    assert not all(c.second_order for c in report.candidates)
+    calls = []
+    laplace = Discrete.laplace
+
+    def counted(self, z, groups=None):
+        calls.append(z)
+        return laplace(self, z, groups)
+
+    monkeypatch.setattr(Discrete, "laplace", counted)
+    assert sd_equivalence_audit(fm) == report
+    assert calls == []
+
+
+def _sweep_markets(count, seed):
+    # drawn as scripts/run_sd_equiv.py draws them
+    rng = np.random.default_rng(seed)
+    markets = []
+    while len(markets) < count:
+        k = 2 if rng.random() < 0.4 else int(rng.integers(3, 7))
+        probs = rng.dirichlet(np.ones(k))
+        payoffs = np.round(rng.uniform(0.2, 2.5, size=k), 3)
+        if payoffs.min() < 1.0 < payoffs.max():
+            markets.append(FiniteMarket(tuple(probs), tuple(payoffs), 1.0))
+    return markets
+
+
+def _checked_merged_law(values, probs):
+    # merged_law through the sorting, checking public constructor
+    values = np.asarray(values, dtype=float)
+    keys = np.where(values != 0, np.round(values / 1e-12) * 1e-12, 0.0)
+    xs, inverse = np.unique(keys, return_inverse=True)
+    ps = np.bincount(inverse, weights=np.asarray(probs, dtype=float))
+    return Discrete(tuple(xs), tuple(ps / ps.sum()))
+
+
+def test_merged_law_equals_the_checked_constructor():
+    # 500 sweep markets and 400 with state weights down to 1e-4: every
+    # vertex law and the vertex mean's law
+    rng = np.random.default_rng(29)
+    markets = _sweep_markets(500, 0)
+    for fm in _sweep_markets(400, 1):
+        weights = np.asarray(fm.probs) ** rng.uniform(1.0, 4.0) + 1e-4
+        markets.append(FiniteMarket(tuple(weights / weights.sum()),
+                                    fm.payoffs, 1.0))
+    for fm in markets:
+        probs, vertices = np.asarray(fm.probs), fm.deflator_vertices()
+        for values in (*vertices, np.mean(vertices, axis=0)):
+            got, want = merged_law(values, probs), _checked_merged_law(
+                values, probs)
+            assert got == want, fm
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got._xp, want._xp)), fm
+
+
+@pytest.mark.parametrize("values, probs, message", [
+    ((-1.0, 1.0), (0.5, 0.5), "support must lie in [0, inf)"),
+    ((math.nan, 1.0), (0.5, 0.5), "support must lie in [0, inf)"),
+    ((math.inf, 1.0), (0.5, 0.5), "support must lie in [0, inf)"),
+    ((1.0, 2.0), (1.0, 0.0), "probabilities must be strictly positive"),
+    ((1.0, 2.0), (0.5, math.nan), "probabilities must be strictly positive"),
+], ids=["negative", "nan", "inf", "zero-mass", "nan-mass"])
+def test_merged_law_refuses_what_the_constructor_refuses(values, probs,
+                                                         message):
+    for merge in (merged_law, _checked_merged_law):
+        with pytest.raises(ValueError) as caught:
+            merge(values, probs)
+        assert str(caught.value) == message
 
 
 def test_edge_interior_maximal_element_supplied():
