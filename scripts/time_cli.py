@@ -56,7 +56,14 @@ INPUTS = {
     "power": {"kind": "power", "p": -1.0},
     "mixture": {"kind": "finite_order", "n": 4,
                 "mixture": {"z": [1.0, 2.0], "c": [1.0, 0.5]}},
+    # footnote k = 1: the measure-backed utility, whose every dual
+    # derivative is a Laplace moment on the outcome nodes
+    "footnote": {"kind": "measure", "anchor": [1.0, 0.0], "measure": {
+        "atoms": [],
+        "pieces": [{"c": 1.0, "a": 0.0, "b": 0.0, "lo": 0.0, "hi": "inf"},
+                   {"c": -1.0, "a": 0.0, "b": 1.0, "lo": 0.0, "hi": "inf"}]}},
     "kappa": {"kappa": 0.25},
+    "kappa1": {"kappa": 1},
     "deflator": {"deflator": {"kind": "discrete", "x": [0.8, 1.0, 1.3],
                               "p": [0.3, 0.4, 0.3]}},
     "market": {"probs": [0.3, 0.3, 0.2, 0.2], "payoffs": [0.5, 0.8, 1.5, 2.0]},
@@ -86,8 +93,11 @@ COMMANDS = {
     "audit.lognormal.violated": ["audit", "LNhidG", "LNhidF", "--order", "2"],
     "solve.lognormal": ["solve", "--utility", "power", "--model", "kappa"],
     "solve.discrete": ["solve", "--utility", "mixture", "--model", "deflator"],
+    "solve.footnote": ["solve", "--utility", "footnote", "--model", "kappa1"],
     "derivatives": ["derivatives", "--utility", "log", "--model", "kappa"],
     "invert": ["invert", "--utility", "log", "--model", "kappa", "--z", "1"],
+    "invert.footnote": ["invert", "--utility", "footnote", "--model", "kappa1",
+                        "--z", "1"],
     "sd-equiv": ["sd-equiv", "--market", "market"],
     "sd-equiv.6": ["sd-equiv", "--market", "market6"],
     "cex1.small": ["cex1", "--truncations", "1000,10000"],

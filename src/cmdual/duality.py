@@ -42,54 +42,61 @@ def invert_decreasing(fn, dfn, target):
     then solved by Newton with dfn to a relative residual of 1e-12 in at
     most 200 steps, falling back to bisection whenever an iterate leaves its
     bracket.  fn and dfn act elementwise on the shape of ``target``: a
-    scalar target gives a float, an array an array.
+    scalar target gives a float, an array an array.  A scalar is solved in
+    Python floats, with no numpy call on any iterate but fn's and dfn's.
     """
-    target = np.asarray(target, dtype=float)[()]
-    lo = hi = np.full(target.shape, 1.0)[()]
+    scalar = np.ndim(target) == 0
+    if scalar:
+        target, lo = float(target), 1.0
+        tol = 1e-12 * max(abs(target), 1e-300)
+        every, where, magnitude = bool, _pick, abs
+    else:
+        target = np.asarray(target, dtype=float)
+        lo = np.ones(target.shape)
+        tol = 1e-12 * np.maximum(np.abs(target), 1e-300)
+        every, where, magnitude = np.all, np.where, np.abs
+    hi = lo
     flo = fhi = fn(lo)
     for _ in range(2000):
-        low, high = ~(flo >= target), ~(fhi <= target)
-        if _any(low):
-            lo = _where(low, lo / 2.0, lo)
-            if _any(lo == 0.0):
+        # written so that a NaN counts as outside the bracket
+        low_ok, high_ok = flo >= target, fhi <= target
+        if not every(low_ok):
+            lo = where(low_ok, lo, lo / 2.0)
+            if not every(lo > 0.0):
                 raise NoRoot("target above the attainable range")
-            flo = _where(low, fn(lo), flo)
-        elif _any(high):
-            hi = _where(high, hi * 2.0, hi)
-            fhi = _where(high, fn(hi), fhi)
+            flo = where(low_ok, flo, fn(lo))
+        elif not every(high_ok):
+            hi = where(high_ok, hi, hi * 2.0)
+            fhi = where(high_ok, fhi, fn(hi))
         else:
             break
     else:
         raise NoRoot("target below the attainable range")
     y = 0.5 * (lo + hi)
-    tol = 1e-12 * np.maximum(np.abs(target), 1e-300)
     for _ in range(200):
         f = fn(y) - target
-        active = ~(np.abs(f) <= tol)
-        if not _any(active):
+        settled = magnitude(f) <= tol
+        if every(settled):
             break
         # each iterate lies inside its bracket and replaces one end of it
         above = f > 0
-        lo = _where(above, y, lo)
-        hi = _where(above, hi, y)
-        # a zero or non-finite slope gives a step outside the bracket; only
-        # an array needs numpy's warnings about it silenced
+        lo = where(above, y, lo)
+        hi = where(above, hi, y)
+        # a zero or non-finite slope gives a step outside the bracket
         slope = dfn(y)
-        if np.ndim(slope) == 0:
+        if scalar:
             step = y - f / slope if slope != 0.0 else math.inf
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = y - f / slope
-        step = _where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-        y = _where(active, step, y)
-    return float(y) if np.ndim(y) == 0 else y
+        step = where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        y = where(settled, y, step)
+    return float(y) if scalar else y
 
 
-def _where(cond, a, b):
-    """np.where without the array round trip for a scalar condition."""
-    if cond.ndim == 0:
-        return a if cond else b
-    return np.where(cond, a, b)
+def _pick(cond, a, b):
+    """np.where for a scalar condition."""
+    return a if cond else b
 
 
 class UtilitySpec:

@@ -38,6 +38,22 @@ def _any(mask) -> bool:
     return bool(mask) if mask.size == 1 else bool(mask.any())
 
 
+def _least(values):
+    """Smallest element of a numpy array or scalar, leaving NaNs out: one
+    reduction, no temporary mask.  Without a number it is inf or NaN, so
+    ``_least(x) <= c`` holds exactly when some ``x <= c`` does."""
+    if values.ndim == 0:
+        return values
+    return np.fmin.reduce(values, axis=None, initial=math.inf)
+
+
+def _greatest(values):
+    """Largest element, as ``_least`` gives the smallest."""
+    if values.ndim == 0:
+        return values
+    return np.fmax.reduce(values, axis=None, initial=-math.inf)
+
+
 @dataclass(frozen=True)
 class DensityPiece:
     """Density ``c * z**a * exp(-b*z)`` on [lo, hi); hi may be math.inf.
@@ -188,7 +204,7 @@ def _power_exp_integral(p: float, s, lo: float, hi: float):
             epsrel=_QUAD_TOL, limit=200)[0], otypes=[float])(s)
     q = p + 1.0
     log_full = special.gammaln(q) - q * np.log(s)
-    if _any(log_full > _LOG_MAX):
+    if _greatest(log_full) > _LOG_MAX:
         raise OverflowError("moment exceeds the double range")
     full = np.exp(log_full)
     if lo == 0.0 and math.isinf(hi):
@@ -234,7 +250,7 @@ def laplace_moment(m: BernsteinMeasure, x, k: int = 0):
     x = np.asarray(x, dtype=float)[()]
     # the rates are checked once here: a piece with decay b > 0, or any
     # piece when every x > 0, then has only positive rates x + b
-    zero_rate = _any(x <= 0)
+    zero_rate = bool(_least(x) <= 0)
     if zero_rate and _any(x < 0):
         raise ValueError("x must be >= 0")
     if k < 0 or k != int(k):

@@ -61,7 +61,10 @@ def _group_sums(keys, *weights):
 def merged_law(values, probs) -> Discrete:
     """Law of a random variable on a finite space, merging equal values."""
     values = np.asarray(values, dtype=float)
-    keys = np.where(values != 0, np.round(values / 1e-12) * 1e-12, 0.0)
+    # a value past about 1e296 rounds to an infinite key, which the law's
+    # own check then refuses
+    with np.errstate(over="ignore"):
+        keys = np.where(values != 0, np.round(values / 1e-12) * 1e-12, 0.0)
     xs, ps = _group_sums(keys, np.asarray(probs, dtype=float))
     return Discrete._sorted(xs, ps / ps.sum())
 
@@ -237,14 +240,18 @@ def _chain_rule(m: int, outer, inner):
 class ValueFunctionPair:
     """Dual/primal value functions bound to a utility and a market model.
 
-    All operations are pure; the only mutable state is a memo of Newton
-    solutions for the primal marginal, keyed by exact argument.
+    Every result depends on its arguments alone.  Two memos hold state: the
+    Newton solutions of the primal marginal, keyed by exact argument, and a
+    table {n: v^(n)(y)} at the last y evaluated (n = 0 for v itself),
+    replaced when y moves, so each order read more than once at one y is
+    computed once.  Only finite values enter it: a divergence raises on every call.
     """
 
     def __init__(self, utility: UtilitySpec, model: MarketModel):
         self.utility = utility
         self.model = model
         self._marginal_cache: dict[float, float] = {}
+        self._last: tuple = (None, {})  # (y, {n: v^(n)(y)}), replaced whole
         # a discrete law's states, or the nodes on which the dual probe
         # E[V(Y)] settles; a non-finite probe means the expectation diverges
         # and more nodes cannot help
@@ -253,13 +260,29 @@ class ValueFunctionPair:
 
     # -- dual side -----------------------------------------------------------
 
+    def _known_at(self, y) -> dict:
+        """The table of v and its derivatives at y; a new y starts a new one.
+
+        The point and its table are one attribute, so a table read for y
+        holds values at y alone, whatever other calls interleave.
+        """
+        point, known = self._last
+        if y != point:
+            known = {}
+            self._last = (y, known)
+        return known
+
     def dual_value(self, y: float) -> float:
         """v(y) = E[V(y * Y_T)]."""
         if y <= 0:
             raise ValueError("y must be positive")
-        out = float(self._weights @ self.utility.conjugate(y * self._outcomes))
-        if not math.isfinite(out):
-            raise DualInfinite(f"dual expectation diverges at y={y}")
+        known = self._known_at(y)
+        out = known.get(0)
+        if out is None:
+            out = float(self._weights @ self.utility.conjugate(y * self._outcomes))
+            if not math.isfinite(out):
+                raise DualInfinite(f"dual expectation diverges at y={y}")
+            known[0] = out
         return out
 
     def dual_derivative(self, n: int, y: float) -> float:
@@ -270,12 +293,16 @@ class ValueFunctionPair:
             raise ValueError("y must be positive")
         if n > self.utility.max_order:
             raise OrderExceeded(f"conjugate offers order {self.utility.max_order}")
-        out = float(self._weights @ (
-            self.utility.conjugate_derivative(n, y * self._outcomes)
-            * self._outcomes**n))
-        if not math.isfinite(out):
-            raise DivergentMoment(f"derivative expectation diverges at "
-                                  f"n={n}, y={y}")
+        known = self._known_at(y)
+        out = known.get(n)
+        if out is None:
+            out = float(self._weights @ (
+                self.utility.conjugate_derivative(n, y * self._outcomes)
+                * self._outcomes**n))
+            if not math.isfinite(out):
+                raise DivergentMoment(f"derivative expectation diverges at "
+                                      f"n={n}, y={y}")
+            known[n] = out
         return out
 
     def dual_optimizer_derivative(self, n: int, y: float) -> StateTable:

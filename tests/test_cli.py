@@ -207,6 +207,18 @@ def test_sd_equiv_candidate_bytes(tmp_path, capsys, candidate, code, out, err):
     assert capsys.readouterr() == (out, err)
 
 
+def test_huge_candidate_is_one_input_error_line(tmp_path):
+    # 1e300 / 1e-12, the law's key, overflows to inf: the law refuses it
+    # without numpy's overflow warning on stderr
+    market = write(tmp_path, "mkt.json", MARKET)
+    env = dict(os.environ, PYTHONPATH=str(Path(cmdual.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cmdual.cli", "sd-equiv",
+                           "--market", market, "--candidate=1e300,1,1,1"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "input error: support must lie in [0, inf)\n")
+
+
 def test_input_error_exit_code(files, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

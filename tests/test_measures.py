@@ -114,6 +114,25 @@ def test_divergent_at_zero_rate():
         laplace_moment(LEBESGUE, 0.0, 0)
 
 
+@pytest.mark.parametrize("rates, error", [
+    ([math.nan, 1e-320], OverflowError),   # 1/1e-320 is past the double range
+    ([1e-320, math.nan], OverflowError),
+    ([math.nan, 0.0], NonIntegrable),
+    ([math.nan, -1.0], ValueError),
+], ids=["nan-tiny", "tiny-nan", "nan-zero", "nan-negative"])
+def test_a_nan_rate_hides_no_other_rate(rates, error):
+    # the range checks reduce over the rates leaving NaNs out: a NaN
+    # anywhere must not mask what the other rates raise
+    with pytest.raises(error):
+        laplace_moment(LEBESGUE, np.array(rates), 0)
+
+
+def test_all_nan_rates_give_nan_moments():
+    got = laplace_moment(LEBESGUE, np.array([math.nan, math.nan]), 0)
+    assert np.isnan(got).all()
+    assert math.isnan(laplace_moment(LEBESGUE, math.nan, 0))
+
+
 def test_exp_difference_kernel():
     from cmdual.measures import exp_difference_moment
 

@@ -12,9 +12,17 @@ from cmdual.duality import (
     LogUtility,
     MeasureUtility,
     PowerUtility,
+    UtilitySpec,
     footnote_utility,
 )
-from cmdual.errors import NoRoot, OrderExceeded, PolytopeEmpty
+from cmdual.errors import (
+    DivergentMoment,
+    DualInfinite,
+    NoRoot,
+    OrderExceeded,
+    PolytopeEmpty,
+    RangeError,
+)
 from cmdual.measures import BernsteinMeasure, DensityPiece
 from cmdual.solver import (
     FiniteMarket,
@@ -760,8 +768,225 @@ def test_optimizer_derivative_takes_one_kernel_call_per_order(monkeypatch):
 
     monkeypatch.setattr(LogUtility, "conjugate_derivative", counted)
     pair.primal_derivatives(5, 1.0)
-    primal = list(calls)
+    assert calls
     calls.clear()
     pair.optimizer_derivative(4, 1.0)
-    # optimizer_derivative(4) starts from primal_derivatives(5)
-    assert calls == primal + [2, 3, 4, 5]
+    # optimizer_derivative(4) starts from primal_derivatives(5), which reads
+    # v'' ... v^(5) at u'(1) from the last-point table
+    assert calls == [2, 3, 4, 5]
+
+
+# -- the last-point table and the float-native Newton --------------------------
+
+
+def reference_invert_decreasing(fn, dfn, target):
+    """The Newton solve as it was before its scalar bookkeeping moved to
+    Python floats: numpy scalars and masks on every iterate."""
+    def where(cond, a, b):
+        if cond.ndim == 0:
+            return a if cond else b
+        return np.where(cond, a, b)
+
+    def any_(mask):
+        return bool(mask) if mask.size == 1 else bool(mask.any())
+
+    target = np.asarray(target, dtype=float)[()]
+    lo = hi = np.full(target.shape, 1.0)[()]
+    flo = fhi = fn(lo)
+    for _ in range(2000):
+        low, high = ~(flo >= target), ~(fhi <= target)
+        if any_(low):
+            lo = where(low, lo / 2.0, lo)
+            if any_(lo == 0.0):
+                raise NoRoot("target above the attainable range")
+            flo = where(low, fn(lo), flo)
+        elif any_(high):
+            hi = where(high, hi * 2.0, hi)
+            fhi = where(high, fn(hi), fhi)
+        else:
+            break
+    else:
+        raise NoRoot("target below the attainable range")
+    y = 0.5 * (lo + hi)
+    tol = 1e-12 * np.maximum(np.abs(target), 1e-300)
+    for _ in range(200):
+        f = fn(y) - target
+        active = ~(np.abs(f) <= tol)
+        if not any_(active):
+            break
+        above = f > 0
+        lo = where(above, y, lo)
+        hi = where(above, hi, y)
+        slope = dfn(y)
+        if np.ndim(slope) == 0:
+            step = y - f / slope if slope != 0.0 else math.inf
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = y - f / slope
+        step = where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        y = where(active, step, y)
+    return float(y) if np.ndim(y) == 0 else y
+
+
+class ReferencePair(ValueFunctionPair):
+    """The value functions as they were before the last-point table: every
+    read computes its expectation anew, and the Newton runs on numpy
+    scalars.  The methods not overridden here run on these."""
+
+    def dual_value(self, y):
+        if y <= 0:
+            raise ValueError("y must be positive")
+        out = float(self._weights @ self.utility.conjugate(y * self._outcomes))
+        if not math.isfinite(out):
+            raise DualInfinite(f"dual expectation diverges at y={y}")
+        return out
+
+    def dual_derivative(self, n, y):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if y <= 0:
+            raise ValueError("y must be positive")
+        if n > self.utility.max_order:
+            raise OrderExceeded("conjugate order")
+        out = float(self._weights @ (
+            self.utility.conjugate_derivative(n, y * self._outcomes)
+            * self._outcomes**n))
+        if not math.isfinite(out):
+            raise DivergentMoment(f"diverges at n={n}, y={y}")
+        return out
+
+    def primal_marginal(self, x):
+        if x <= 0:
+            raise ValueError("x must be positive")
+        hit = self._marginal_cache.get(x)
+        if hit is not None:
+            return hit
+        try:
+            y = reference_invert_decreasing(
+                lambda t: -self.dual_derivative(1, t),
+                lambda t: -self.dual_derivative(2, t), x)
+        except NoRoot:
+            raise NoRoot(f"x={x} outside the range of -v'") from None
+        self._marginal_cache[x] = y
+        return y
+
+
+def outcome(run):
+    """The bytes of what ``run`` returns, or the class of what it raises."""
+    try:
+        return np.asarray(run(), dtype=float).tobytes()
+    except Exception as exc:  # the class is compared
+        return type(exc)
+
+
+UTILITIES = {
+    "log": lambda p, n: LOG,
+    "power": lambda p, n: PowerUtility(p),
+    "footnote1": lambda p, n: footnote_utility(1),
+    "footnote2": lambda p, n: footnote_utility(2),
+    "mixture": lambda p, n: UtilitySpec.from_dict(
+        {"kind": "finite_order", "n": n,
+         "mixture": {"z": [1.0, 3.5 + p], "c": [1.0, 0.5]}}),
+}
+
+
+@st.composite
+def solver_cases(draw):
+    if draw(st.booleans()):
+        model = MarketModel.lognormal(draw(st.floats(0.05, 4.0)))
+    else:
+        size = draw(st.integers(1, 4))
+        xs = draw(st.lists(st.floats(0.05, 5.0), min_size=size,
+                           max_size=size, unique=True))
+        ws = draw(st.lists(st.floats(0.05, 1.0), min_size=size,
+                           max_size=size))
+        model = MarketModel(Discrete(tuple(xs), tuple(w / sum(ws) for w in ws)))
+    kind = draw(st.sampled_from(sorted(UTILITIES)))
+    p = draw(st.floats(-3.0, 0.9).filter(lambda v: abs(v) > 0.05))
+    utility = UTILITIES[kind](p, draw(st.integers(2, 8)))
+    return (utility, model, draw(st.integers(1, 8)), draw(st.floats(0.05, 10.0)),
+            draw(st.floats(0.05, 5.0)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=solver_cases())
+def test_solver_outputs_are_bitwise_those_of_the_reference_path(case):
+    from cmdual.cli import _solve_row
+
+    utility, model, order, x, z = case
+    pair = ValueFunctionPair(utility, model)
+    reference = ReferencePair(utility, model)
+    # one pair serves every call in turn, as a CLI run or a workload does
+    for run in (lambda q: _solve_row(q, order, x),
+                lambda q: q.optimizer_derivative(order, x).values,
+                lambda q: q.widder_invert(z, max(order, 2)),
+                lambda q: _solve_row(q, order, 0.5 * x),
+                lambda q: q.primal_derivatives(order, x)):
+        assert outcome(lambda: run(pair)) == outcome(lambda: run(reference))
+    if type(utility).marginal is UtilitySpec.marginal:
+        def reference_marginal(target):
+            try:
+                return reference_invert_decreasing(
+                    utility.inverse_marginal,
+                    lambda y: -utility.conjugate_derivative(2, y), target)
+            except NoRoot:
+                raise RangeError("outside the range") from None
+
+        for target in (x, np.array([x, 0.5 * x, 3.0])):
+            assert (outcome(lambda: utility.marginal(target))
+                    == outcome(lambda: reference_marginal(target)))
+
+
+def test_reads_at_interleaved_points_keep_their_own_values():
+    def fresh_reads(y):
+        return {n: (ValueFunctionPair(footnote_utility(1), LOGNORMAL)
+                    .dual_derivative(n, y) if n else
+                    ValueFunctionPair(footnote_utility(1), LOGNORMAL)
+                    .dual_value(y)) for n in range(5)}
+
+    y1, y2 = 0.7, 1.9
+    expected = {y1: fresh_reads(y1), y2: fresh_reads(y2)}
+    assert expected[y1] != expected[y2]
+    pair = ValueFunctionPair(footnote_utility(1), LOGNORMAL)
+    for y, orders in ((y1, (2, 0, 4)), (y2, (4, 1, 0, 2)), (y1, range(5)),
+                      (y2, range(4, -1, -1)), (y1, (3, 1))):
+        for n in orders:
+            got = pair.dual_derivative(n, y) if n else pair.dual_value(y)
+            assert got == expected[y][n], (y, n)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_divergent_read_raises_on_every_call():
+    pair = ValueFunctionPair(PowerUtility(0.999), MarketModel.lognormal(4.0))
+    for _ in range(3):
+        with pytest.raises(DualInfinite):
+            pair.dual_value(1.0)
+        with pytest.raises(DivergentMoment):
+            pair.dual_derivative(1, 1.0)
+
+
+def test_a_solve_row_reads_each_order_once(monkeypatch):
+    # after primal_derivatives(4, x) has read v' (in the Newton) and v'' to
+    # v'''' at y = u'(x), the rest of the row computes only v(y), once
+    from cmdual.cli import _solve_row
+
+    pair = ValueFunctionPair(LOG, TWO_POINT)
+    x = 1.3
+    y = pair.primal_derivatives(4, x)[0]
+    calls = []
+    conjugate, derivative = LogUtility.conjugate, LogUtility.conjugate_derivative
+
+    def counted_value(self, t):
+        calls.append(0)
+        return conjugate(self, t)
+
+    def counted_derivative(self, k, t):
+        calls.append(k)
+        return derivative(self, k, t)
+
+    monkeypatch.setattr(LogUtility, "conjugate", counted_value)
+    monkeypatch.setattr(LogUtility, "conjugate_derivative", counted_derivative)
+    row = _solve_row(pair, 4, x)
+    assert calls == [0]
+    assert row[2] == y == row[6]
