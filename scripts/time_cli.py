@@ -70,6 +70,14 @@ INPUTS = {
     # 16 deflator vertices, so 256 candidate-vertex pairs per verdict order
     "market6": {"probs": [0.2, 0.15, 0.25, 0.1, 0.2, 0.1],
                 "payoffs": [0.5, 0.8, 0.9, 1.5, 2.0, 1.2]},
+    # 10 states, the most the audit takes: 36 vertices, 1,296 pairs
+    "market10": {"probs": [0.05, 0.08, 0.12, 0.1, 0.15, 0.07, 0.13, 0.09,
+                           0.11, 0.1],
+                 "payoffs": [0.5, 1.4, 0.8, 2.1, 0.35, 1.2, 0.9, 1.75, 0.6,
+                             2.5]},
+    # a state of weight 1e-11, whose deflator values reach 5e10
+    "market_tiny": {"probs": [1e-11, 0.499999999995, 0.499999999995],
+                    "payoffs": [0.5, 0.9, 1.5]},
 }
 
 # name -> argv; an argv entry naming an INPUTS key is replaced by its file
@@ -100,6 +108,8 @@ COMMANDS = {
                         "--z", "1"],
     "sd-equiv": ["sd-equiv", "--market", "market"],
     "sd-equiv.6": ["sd-equiv", "--market", "market6"],
+    "sd-equiv.10": ["sd-equiv", "--market", "market10"],
+    "sd-equiv.tiny": ["sd-equiv", "--market", "market_tiny"],
     "cex1.small": ["cex1", "--truncations", "1000,10000"],
     "cex1.default": ["cex1"],
     "cex2": ["cex2"],

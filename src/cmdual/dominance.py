@@ -143,15 +143,27 @@ class Discrete(Distribution):
             raise ValueError("probabilities must sum to 1 within 1e-12")
 
     @classmethod
-    def _sorted(cls, xs, ps) -> "Discrete":
-        """The law of float arrays ``xs`` (ascending and distinct) and
-        ``ps``, checked as the constructor checks them but not re-sorted."""
-        cls._check(xs, ps)
-        law = object.__new__(cls)
-        object.__setattr__(law, "xs", tuple(xs.tolist()))
-        object.__setattr__(law, "ps", tuple(ps.tolist()))
-        object.__setattr__(law, "_xp", (_read_only(xs), _read_only(ps)))
-        return law
+    def _sorted_rows(cls, xs, ps, bounds) -> list["Discrete"]:
+        """The law of each slice ``xs[a:b]`` (ascending and distinct) and
+        ``ps[a:b]`` of float arrays, for consecutive a, b in ``bounds``,
+        not re-sorted.  They are checked as the constructor checks each in
+        turn: one pass over all atoms, and if it fails, the first law that
+        fails its own check raises."""
+        edges = list(zip(bounds, bounds[1:]))
+        if not ((np.isfinite(xs) & (xs >= 0) & (ps > 0)).all()
+                and all(b > a and abs(ps[a:b].sum() - 1.0) <= 1e-12
+                        for a, b in edges)):
+            for a, b in edges:
+                cls._check(xs[a:b], ps[a:b])
+        xs.flags.writeable = ps.flags.writeable = False
+        xl, pl, laws = xs.tolist(), ps.tolist(), []
+        for a, b in edges:
+            law = object.__new__(cls)
+            object.__setattr__(law, "xs", tuple(xl[a:b]))
+            object.__setattr__(law, "ps", tuple(pl[a:b]))
+            object.__setattr__(law, "_xp", (xs[a:b], ps[a:b]))
+            laws.append(law)
+        return laws
 
     @classmethod
     def from_sample(cls, sample) -> "Discrete":
@@ -424,10 +436,10 @@ def discrete_witness_table(rows, cols, n: int) -> np.ndarray:
     F_n(k + t) = sum_(r<n) F_(n-r)(k) t**r / r!, so the pair's knots (both
     laws' atoms and 0), the interior minima of its intervals and the sign of
     the highest non-tied coefficient past its last knot decide the verdict.
-    Each law's F_1..F_n come from one call on the union of all knots.  One
-    row of pairs at a time, each pair masked to its own knots, the knots
-    are checked, then every undecided pair's interior minima with one
-    stacked eigensolve per slope degree; the tail for all pairs at once.
+    Each law's F_1..F_n come from one call on the union of all knots.  For
+    the whole rectangle at once, each pair masked to its own knots, the
+    knots are checked, then every undecided pair's interior minima with one
+    stacked eigensolve per slope degree, then the tail.
     """
     laws, ri, ci = _distinct(rows, cols)
     sizes = [len(law.xs) for law in laws]
@@ -440,16 +452,16 @@ def discrete_witness_table(rows, cols, n: int) -> np.ndarray:
     own[:, 0] = True  # knot 0, the smallest, belongs to every pair
     top_knot = at[np.cumsum(sizes) - 1]  # each law's largest atom
     fac = np.array([float(math.factorial(r)) for r in range(n)])[:, None]
-    g, gc = tab[ci], tab[ci] / fac
-    out = np.empty((ri.size, ci.size))
-    for i, row in enumerate(ri.tolist()):
-        f, mask = tab[row], own[row] | own[ci]
-        dc = (g - f) / fac
-        bad = (dc[:, 0] < -_tie(g[:, 0], f[0])) & mask
-        out[i] = np.where(bad.any(axis=1), knots[bad.argmax(axis=1)], np.nan)
-        if n >= 3 and (open_ := np.isnan(out[i])).any():
-            out[i, open_] = _interior_witness(knots, mask[open_], dc[open_],
-                                              gc[open_])
+    # the knots: G_n - F_n is the r = 0 coefficient, as 0! = 1
+    f, g = tab[ri, 0][:, None], tab[ci, 0][None]
+    mask = own[ri][:, None] | own[ci][None]
+    bad = (g - f < -_tie(g, f)) & mask
+    out = np.where(bad.any(axis=2), knots[bad.argmax(axis=2)], np.nan)
+    if n >= 3 and (open_ := np.isnan(out)).any():
+        row, col = np.nonzero(open_)
+        g = tab[ci[col]]
+        out[open_] = _interior_witness(knots, mask[open_],
+                                       (g - tab[ri[row]]) / fac, g / fac)
     # past a pair's last knot the highest-degree coefficient that is not a
     # tie of its own two iterated-CDF values decides the sign
     last = np.maximum.outer(top_knot[ri], top_knot[ci])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -51,22 +52,46 @@ __all__ = [
 FAA_ORDER_CAP = 8
 
 
-def _group_sums(keys, *weights):
-    """Distinct keys in ascending order and each weight array summed over them."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return uniq, *(np.bincount(inverse, weights=w, minlength=uniq.size)
-                   for w in weights)
-
-
-def merged_law(values, probs) -> Discrete:
-    """Law of a random variable on a finite space, merging equal values."""
+def merged_laws(values, probs) -> list[Discrete]:
+    """Law of each row of the (V, S) array ``values`` on a finite space
+    with state weights ``probs``, merging equal values in a row: one sort
+    per row, then one weighted count over all rows' groups, which adds each
+    group's weights in state order, as a count over one row would."""
     values = np.asarray(values, dtype=float)
     # a value past about 1e296 rounds to an infinite key, which the law's
     # own check then refuses
     with np.errstate(over="ignore"):
         keys = np.where(values != 0, np.round(values / 1e-12) * 1e-12, 0.0)
-    xs, ps = _group_sums(keys, np.asarray(probs, dtype=float))
-    return Discrete._sorted(xs, ps / ps.sum())
+    rows, states = keys.shape
+    # flat[v]: the flat indices of row v's states in key order
+    flat = np.argsort(keys, axis=1) + states * np.arange(rows)[:, None]
+    keys = keys.ravel()[flat]
+    new = np.ones(keys.shape, dtype=bool)  # each group's first state
+    new[:, 1:] = keys[:, 1:] != keys[:, :-1]
+    group = np.empty(keys.size, dtype=int)
+    group[flat.ravel()] = np.cumsum(new) - 1
+    # a probs of the wrong length fails here, as a single row's weights do
+    ps = np.bincount(group, weights=np.repeat(
+        np.asarray(probs, dtype=float)[None], rows, axis=0).ravel())
+    counts = new.sum(axis=1)
+    bounds = [0, *np.cumsum(counts).tolist()]
+    # each law normalised by its own sum, taken as numpy sums one row
+    totals = [ps[a:b].sum() for a, b in zip(bounds, bounds[1:])]
+    return Discrete._sorted_rows(keys[new], ps / np.repeat(totals, counts),
+                                 bounds)
+
+
+def merged_law(values, probs) -> Discrete:
+    """Law of a random variable on a finite space, merging equal values."""
+    return merged_laws([values], probs)[0]
+
+
+@lru_cache(maxsize=None)
+def _active_sets(rows: int, states: int) -> np.ndarray:
+    """Every choice of ``states`` of ``rows`` constraints, one per row."""
+    idx = np.array(list(combinations(range(rows), states)))
+    idx.flags.writeable = False
+    return idx
 
 
 @dataclass(frozen=True)
@@ -103,55 +128,54 @@ class FiniteMarket:
         with the matching sign.
         """
         p, s = self._arrays()
-        n = p.size
-        rows = [-np.eye(n)]
-        rhs = [np.zeros(n)]
-
-        def add(weights, bound):
-            rows.append(weights[None, :])
-            rhs.append(np.array([bound]))
-
-        add(p, 1.0)  # cash
         gap = s - self.s0
         smin, smax = float(np.min(s)), float(np.max(s))
+        # y >= 0, cash, then the extreme long and short positions
+        rows, rhs = [-np.eye(p.size), p], [0.0] * p.size + [1.0]
         if smin < self.s0:
             h_max = 1.0 / (self.s0 - smin)
-            add(p * (1.0 + h_max * gap), 1.0)
+            rows.append(p * (1.0 + h_max * gap))
         else:
-            add(p * gap, 0.0)
+            rows.append(p * gap)
         if smax > self.s0:
             h_min = -1.0 / (smax - self.s0)
-            add(p * (1.0 + h_min * gap), 1.0)
+            rows.append(p * (1.0 + h_min * gap))
         else:
-            add(p * -gap, 0.0)
-        return np.vstack(rows), np.concatenate(rhs)
+            rows.append(p * -gap)
+        rhs += [float(smin < self.s0), float(smax > self.s0)]
+        return np.vstack(rows), np.array(rhs)
 
     def deflator_vertices(self) -> list[np.ndarray]:
         """Extreme points of the deflator polytope by active-set enumeration.
 
-        A solution of an active set is feasible within 1e-9, and entries
-        below 1e-9 in size are 0.  Several active sets can solve to the same
-        vertex up to rounding, so solutions equal on a grid of 1e-7 times
-        the largest entry are one vertex, kept in the order first found.
+        An active set is regular when its rows, scaled to unit length and
+        then its columns too, have a determinant of at least 1e-10, so that
+        neither a small constraint nor a small state weight (whose state's
+        deflator values are large) can mask it.  A solution is feasible
+        within 1e-9, and entries below 1e-9 in size are 0.  Several active
+        sets can solve to the same vertex up to rounding, so solutions equal
+        on a grid of 1e-7 times the largest entry of each state (at least
+        1e-7) are one vertex, kept in the order first found.
         """
         A, b = self.deflator_constraints()
-        n = A.shape[1]
-        idx = np.array(list(combinations(range(A.shape[0]), n)))
-        subs = A[idx]
-        norms = np.linalg.norm(subs, axis=2)
-        keep = np.all(norms >= 1e-14, axis=1)
-        idx, subs, norms = idx[keep], subs[keep], norms[keep]
-        # scale-invariant regularity test so tiny state probabilities
-        # cannot mask a legitimate active set
-        regular = np.abs(np.linalg.det(subs / norms[..., None])) >= 1e-10
-        ys = np.linalg.solve(subs[regular], b[idx[regular]][..., None])
+        norms = np.linalg.norm(A, axis=1)
+        idx = _active_sets(*A.shape)
+        idx = idx[np.all(norms[idx] >= 1e-14, axis=1)]
+        unit = A[idx] / norms[idx][..., None]
+        scale = np.linalg.norm(unit, axis=1)
+        # an exactly zero column leaves the determinant 0 at any scale
+        unit /= np.where(scale > 0, scale, 1.0)[:, None, :]
+        idx = idx[np.abs(np.linalg.det(unit)) >= 1e-10]
+        ys = np.linalg.solve(A[idx], b[idx][..., None])
         ys = ys[np.all((A @ ys)[..., 0] <= b + 1e-9, axis=1), :, 0]
         if not ys.size:
             return []
         ys = np.where(np.abs(ys) < 1e-9, 0.0, ys)
-        grid = 1e-7 * max(1.0, float(np.max(np.abs(ys))))
-        _, first = np.unique(np.round(ys / grid) + 0.0, axis=0, return_index=True)
-        return list(ys[np.sort(first)])
+        grid = 1e-7 * np.maximum(1.0, np.max(np.abs(ys), axis=0))
+        keys = np.round(ys / grid) + 0.0
+        order = np.lexsort(keys.T[::-1])
+        first = np.diff(keys[order], axis=0, prepend=np.nan).any(axis=1)
+        return list(ys[np.sort(order[first])])
 
     def contains_deflator(self, y) -> bool:
         """Whether y meets every deflator constraint within 1e-9."""
@@ -547,19 +571,19 @@ def sd_equivalence_audit(fm: FiniteMarket, candidate=None) -> EquivalenceReport:
     """
     if len(fm.probs) > 10:
         raise ValueError("audit is intended for <= 10 states")
-    vertices = fm.deflator_vertices()
+    vertices = np.array(fm.deflator_vertices())
     if not fm.has_positive_deflator(vertices):
         raise PolytopeEmpty("no strictly positive deflator exists")
     probs = np.asarray(fm.probs)
-    laws = [merged_law(v, probs) for v in vertices]
+    laws = merged_laws(vertices, probs)
     if candidate is None:
         candidates, cand_laws = vertices, laws
     else:
         candidates = [np.asarray(candidate, dtype=float)]
-        cand_laws = [merged_law(candidates[0], probs)]
+        cand_laws = merged_laws(candidates, probs)
     settled = np.isnan(discrete_witness_table(cand_laws, laws, 2))
     laplace = _laplace_column(cand_laws, laws, settled)
-    conditional = _conditional_dominates(probs, candidates, np.array(vertices))
+    conditional = _conditional_dominates(probs, candidates, vertices)
     results = [
         CandidateVerdicts(tuple(cand), bool(lap), bool(cond), bool(sec))
         for cand, lap, cond, sec in zip(candidates, laplace, conditional,

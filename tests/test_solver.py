@@ -1,5 +1,6 @@
 """Tests for value-function pairs, optimizer derivatives, and the market audit."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmdual.dominance import Discrete, dominates_inf, dominates_n
+from cmdual.cli import main
+from cmdual.dominance import (
+    Discrete,
+    discrete_witness_table,
+    dominates_inf,
+    dominates_n,
+)
 from cmdual.duality import (
     LogUtility,
     MeasureUtility,
@@ -29,6 +36,7 @@ from cmdual.solver import (
     MarketModel,
     ValueFunctionPair,
     merged_law,
+    merged_laws,
     sd_equivalence_audit,
 )
 
@@ -590,6 +598,46 @@ def test_audit_matches_pairwise_loop_on_drawn_markets(fm):
                    if c["second_order"]), fm
 
 
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(fm=drawn_markets(), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_witness_tables_match_single_pairs_on_vertex_laws(fm, scale):
+    # the audit's own rectangles, whose laws share atoms and the atom 0:
+    # every entry equals the verdict of its pair on its own
+    laws = merged_laws(np.array(fm.deflator_vertices()) * scale, fm.probs)
+    assert any(law.xs[0] == 0.0 for law in laws)
+    for n in range(1, 9):
+        single = [[math.nan if (w := dominates_n(F, G, n).witness) is None
+                   else w for G in laws] for F in laws]
+        assert np.array_equal(discrete_witness_table(laws, laws, n), single,
+                              equal_nan=True), n
+
+
+@pytest.mark.parametrize("w", [1e-8, 1e-11, 1e-13])
+def test_audit_takes_a_market_with_a_tiny_state_weight(w, tmp_path, capsys):
+    # payoffs on both sides of s0, so a positive deflator exists however
+    # small state 0's weight: every test of the vertex enumeration is
+    # scale-free per state, and the market audits as at weight 1e-2
+    def market(w):
+        return FiniteMarket((w, (1 - w) / 2, (1 - w) / 2), (0.5, 0.9, 1.5))
+
+    def pattern(report):
+        return [(c.laplace_order, c.conditional, c.second_order)
+                for c in report.candidates]
+
+    fm = market(w)
+    vertices = fm.deflator_vertices()
+    assert len(vertices) == len(market(1e-2).deflator_vertices()) == 6
+    assert fm.has_positive_deflator(vertices)
+    assert _linprog_has_positive_deflator(fm)
+    assert pattern(sd_equivalence_audit(fm)) == pattern(
+        sd_equivalence_audit(market(1e-2)))
+    path = tmp_path / "mkt.json"
+    path.write_text(json.dumps({"probs": list(fm.probs),
+                                "payoffs": list(fm.payoffs), "s0": 1.0}))
+    assert main(["sd-equiv", "--market", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["candidates"]
+
+
 @pytest.mark.parametrize("fm", [
     FiniteMarket((0.3, 0.3, 0.2, 0.2), (0.5, 0.8, 1.5, 2.0), 1.0),
     FiniteMarket((0.4, 0.3, 0.3), (2.0, 0.5, 0.5), 1.0),
@@ -627,7 +675,8 @@ def _sweep_markets(count, seed):
 def _checked_merged_law(values, probs):
     # merged_law through the sorting, checking public constructor
     values = np.asarray(values, dtype=float)
-    keys = np.where(values != 0, np.round(values / 1e-12) * 1e-12, 0.0)
+    with np.errstate(over="ignore"):
+        keys = np.where(values != 0, np.round(values / 1e-12) * 1e-12, 0.0)
     xs, inverse = np.unique(keys, return_inverse=True)
     ps = np.bincount(inverse, weights=np.asarray(probs, dtype=float))
     return Discrete(tuple(xs), tuple(ps / ps.sum()))
@@ -691,6 +740,71 @@ def test_vertex_only_checks_can_disagree_without_maximal_element():
     assert not report.all_agree
 
 
+def _outcome(fn):
+    """fn()'s result, or the class and message of what it raised."""
+    try:
+        return fn()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_laws(got, want):
+    # equal values, and bitwise equal arrays
+    return got == want and all(
+        a.tobytes() == b.tobytes() and a.dtype == b.dtype
+        for law, ref in zip(got, want) for a, b in zip(law._xp, ref._xp))
+
+
+@st.composite
+def value_rows(draw):
+    """1-6 rows over 1-24 states: values from 1-10 levels, each maybe
+    moved by less than the 1e-12 key grid, so rows tie within it; zeros,
+    all-equal and all-distinct rows; state weights down to 1e-4; and
+    sometimes a value or a weight, or both, that a law must refuse."""
+    states = draw(st.integers(1, 24))
+    weights = draw(st.lists(
+        st.sampled_from([1e-4, 1e-3, 0.5]) | st.floats(1e-4, 1.0),
+        min_size=states, max_size=states))
+    levels = draw(st.lists(
+        st.sampled_from([0.0, 1e-12, 1.0, 3.0]) | st.floats(0.0, 1e6),
+        min_size=1, max_size=10))
+    value = st.builds(lambda x, dx: max(x + dx, 0.0), st.sampled_from(levels),
+                      st.sampled_from([0.0, 0.0, 3e-13, -4e-13, 6e-13]))
+    rows = draw(st.lists(
+        st.lists(value, min_size=states, max_size=states)
+        | value.map(lambda x: [x] * states)
+        | st.lists(st.floats(0.0, 1e6), min_size=states, max_size=states),
+        min_size=1, max_size=6))
+    values, probs = np.array(rows), np.array(weights) / sum(weights)
+    value_bad = draw(st.sampled_from(
+        [None] * 6 + [-1.0, math.nan, math.inf, 1e300]))
+    if value_bad is not None:  # in one or two states of a row
+        state = draw(st.integers(0, states - 1))
+        values[draw(st.integers(0, len(rows) - 1)),
+               state:state + draw(st.integers(1, 2))] = value_bad
+    # a NaN weight fails every row, a zero weight each row where no other
+    # state shares its state's value (with one state it would be 0/0)
+    weight_bad = draw(st.sampled_from(
+        [None] * 6 + [math.nan] + [0.0] * (states > 1)))
+    if weight_bad is not None:
+        probs[draw(st.integers(0, states - 1))] = weight_bad
+    return values, probs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=value_rows())
+def test_merged_laws_equal_the_checked_constructor_row_by_row(case):
+    # every row's law bitwise, or the refusal the first refused row raises
+    values, probs = case
+    got = _outcome(lambda: merged_laws(values, probs))
+    want = _outcome(lambda: [_checked_merged_law(v, probs) for v in values])
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert _same_laws(got, want)
+        assert _same_laws([merged_law(values[0], probs)], want[:1])
+
+
 def test_merged_law_aggregates():
     law = merged_law([1.0, 1.0, 2.0], [0.25, 0.25, 0.5])
     assert law == Discrete((1.0, 2.0), (0.5, 0.5))
@@ -705,16 +819,16 @@ def test_audit_merges_each_law_once(monkeypatch):
     calls = []
 
     def counted(values, probs):
-        calls.append(values)
-        return merged_law(values, probs)
+        calls.append(len(values))
+        return merged_laws(values, probs)
 
-    monkeypatch.setattr(cmdual.solver, "merged_law", counted)
+    monkeypatch.setattr(cmdual.solver, "merged_laws", counted)
     sd_equivalence_audit(fm)
-    # each vertex's law serves as its candidate law too
-    assert len(calls) == len(vertices)
+    # one grouping for every vertex law, each serving as its candidate's
+    assert calls == [len(vertices)]
     calls.clear()
     sd_equivalence_audit(fm, candidate=vertices[0])
-    assert len(calls) == len(vertices) + 1
+    assert calls == [len(vertices), 1]
 
 
 def test_audit_evaluates_each_law_once_per_grid(monkeypatch):
