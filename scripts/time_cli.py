@@ -62,6 +62,12 @@ INPUTS = {
         "atoms": [],
         "pieces": [{"c": 1.0, "a": 0.0, "b": 0.0, "lo": 0.0, "hi": "inf"},
                    {"c": -1.0, "a": 0.0, "b": 1.0, "lo": 0.0, "hi": "inf"}]}},
+    # footnote k = 2: three pieces, -1 + z + exp(-z)
+    "footnote2": {"kind": "measure", "anchor": [1.0, 0.0], "measure": {
+        "atoms": [],
+        "pieces": [{"c": -1.0, "a": 0.0, "b": 0.0, "lo": 0.0, "hi": "inf"},
+                   {"c": 1.0, "a": 1.0, "b": 0.0, "lo": 0.0, "hi": "inf"},
+                   {"c": 1.0, "a": 0.0, "b": 1.0, "lo": 0.0, "hi": "inf"}]}},
     "kappa": {"kappa": 0.25},
     "kappa1": {"kappa": 1},
     "deflator": {"deflator": {"kind": "discrete", "x": [0.8, 1.0, 1.3],
@@ -102,6 +108,13 @@ COMMANDS = {
     "solve.lognormal": ["solve", "--utility", "power", "--model", "kappa"],
     "solve.discrete": ["solve", "--utility", "mixture", "--model", "deflator"],
     "solve.footnote": ["solve", "--utility", "footnote", "--model", "kappa1"],
+    # every dual order to 8 from the stacked fills at each grid point
+    "solve.footnote.order8": ["solve", "--utility", "footnote", "--model",
+                              "kappa1", "--order", "8"],
+    "solve.footnote2": ["solve", "--utility", "footnote2", "--model",
+                        "kappa1"],
+    "derivatives.footnote": ["derivatives", "--utility", "footnote",
+                             "--model", "kappa1", "--order", "4"],
     "derivatives": ["derivatives", "--utility", "log", "--model", "kappa"],
     "invert": ["invert", "--utility", "log", "--model", "kappa", "--z", "1"],
     "invert.footnote": ["invert", "--utility", "footnote", "--model", "kappa1",

@@ -25,7 +25,7 @@ from .errors import (
     TailDivergent,
 )
 from .measures import (BernsteinMeasure, _any, exp_difference_moment,
-                       laplace_moment)
+                       laplace_moment, laplace_moments)
 
 __all__ = [
     "DnFunction",
@@ -58,6 +58,8 @@ class DnFunction:
     vanish at infinity).
     ``exact``, ``derivative`` and ``value`` act elementwise on y (a float for
     a scalar, an array for an array); finite-order quadrature runs per point.
+    ``derivatives`` takes several orders at once: from a measure, every
+    order k >= 1 is one ``laplace_moments`` call.
     """
 
     order: float
@@ -161,6 +163,15 @@ class DnFunction:
         return cls(order=math.inf, anchor=(1.0, exact(0, 1.0)), exact=exact)
 
     # -- evaluation -----------------------------------------------------------
+
+    def derivatives(self, orders, y) -> list:
+        """``[self.derivative(k, y) for k in orders]``; a measure gives every
+        order k >= 1 from one kernel call, which raises what the first
+        failing order would raise alone."""
+        if self.measure is None or min(orders, default=0) < 1:
+            return [self.derivative(k, y) for k in orders]
+        moments = laplace_moments(self.measure, y, [k - 1 for k in orders])
+        return [(-1.0) ** k * mk for k, mk in zip(orders, moments)]
 
     def derivative(self, k: int, y):
         if self.measure is not None and k >= 1:

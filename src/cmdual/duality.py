@@ -11,12 +11,19 @@ A(x) * B(U'(x)) = 1.
 For measure-backed specs the conjugate satisfies V'(y) = -(U')^{-1}(y), so
 V is pinned only up to the anchor value V(y0); the anchor defaults to
 (1.0, 0.0) and travels through every downstream computation consistently.
+
+Each spec implements ``conjugate_derivatives(orders, y)``, which gives
+several orders of V at once; ``conjugate_derivative(k, y)`` is its
+one-order case.  A measure-backed V computes all orders in one Laplace
+moment call, and the closed forms loop their formulas.  The Newton of
+``marginal`` reads V' and V'' at each iterate from one such call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,15 +42,20 @@ __all__ = [
 ]
 
 
-def invert_decreasing(fn, dfn, target):
+def invert_decreasing(fn, newton, target):
     """Solve fn(y) = target elementwise for a strictly decreasing positive fn.
 
     Each element is bracketed by geometric halving and doubling from y = 1,
-    then solved by Newton with dfn to a relative residual of 1e-12 in at
-    most 200 steps, falling back to bisection whenever an iterate leaves its
-    bracket.  fn and dfn act elementwise on the shape of ``target``: a
-    scalar target gives a float, an array an array.  A scalar is solved in
-    Python floats, with no numpy call on any iterate but fn's and dfn's.
+    evaluating fn alone, then solved by Newton to a relative residual of
+    1e-12 in at most 200 steps, falling back to bisection whenever an
+    iterate leaves its bracket.  At each Newton iterate ``newton(y)`` returns
+    fn(y) and a function of no arguments giving fn'(y), so a caller can
+    compute both in one evaluation; the slope is read only while some
+    residual is unsettled, so a slope that fails where the root is already
+    found is never asked for.  fn and newton act elementwise on the shape of
+    ``target``: a scalar target gives a float, an array an array.  A scalar
+    is solved in Python floats, with no numpy call on any iterate but fn's
+    and newton's.
     """
     scalar = np.ndim(target) == 0
     if scalar:
@@ -74,7 +86,8 @@ def invert_decreasing(fn, dfn, target):
         raise NoRoot("target below the attainable range")
     y = 0.5 * (lo + hi)
     for _ in range(200):
-        f = fn(y) - target
+        value, read_slope = newton(y)
+        f = value - target
         settled = magnitude(f) <= tol
         if every(settled):
             break
@@ -83,7 +96,7 @@ def invert_decreasing(fn, dfn, target):
         lo = where(above, y, lo)
         hi = where(above, hi, y)
         # a zero or non-finite slope gives a step outside the bracket
-        slope = dfn(y)
+        slope = read_slope()
         if scalar:
             step = y - f / slope if slope != 0.0 else math.inf
         else:
@@ -99,35 +112,53 @@ def _pick(cond, a, b):
     return a if cond else b
 
 
+def _nonpositive(v) -> bool:
+    """Whether some element of v is <= 0 (a NaN is not): a plain comparison
+    for a Python float."""
+    return v <= 0 if isinstance(v, float) else _any(np.asarray(v) <= 0)
+
+
 class UtilitySpec:
     """Common surface of all utility specifications; every method acts
     elementwise (a scalar gives a float, an array an array of its shape)."""
 
     kind: str = "abstract"
 
-    # subclasses implement: inverse_marginal, conjugate, conjugate_derivative
+    # subclasses implement: inverse_marginal, conjugate, conjugate_derivatives
     def inverse_marginal(self, y):
         raise NotImplementedError
 
     def conjugate(self, y):
         raise NotImplementedError
 
-    def conjugate_derivative(self, k: int, y):
+    def conjugate_derivatives(self, orders, y) -> list:
+        """[V^(k)(y) for k in orders], each order k >= 1; the call raises
+        what the first failing order would raise alone."""
         raise NotImplementedError
+
+    def conjugate_derivative(self, k: int, y):
+        return self.conjugate_derivatives((k,), y)[0]
 
     @property
     def max_order(self) -> float:
         return math.inf
 
+    def _newton(self, y):
+        """(U')^{-1}(y) = -V'(y) and a reader of its slope -V''(y), both from
+        one conjugate call; where that call fails, each is taken alone, so
+        an order that fails raises only when it is read."""
+        try:
+            first, second = self.conjugate_derivatives((1, 2), y)
+        except Exception:  # each order raises its own error when read
+            return (self.inverse_marginal(y),
+                    lambda: -self.conjugate_derivative(2, y))
+        return -first, lambda: -second
+
     def marginal(self, x):
-        if _any(np.asarray(x) <= 0):
+        if _nonpositive(x):
             raise ValueError("x must be positive")
         try:
-            return invert_decreasing(
-                self.inverse_marginal,
-                lambda y: -self.conjugate_derivative(2, y),
-                x,
-            )
+            return invert_decreasing(self.inverse_marginal, self._newton, x)
         except NoRoot as exc:
             raise RangeError(f"x={x} outside the range of the inverse "
                              f"marginal") from exc
@@ -190,10 +221,13 @@ class LogUtility(UtilitySpec):
     def conjugate(self, y):
         return -np.log(y) - 1.0
 
-    def conjugate_derivative(self, k, y):
-        if k < 1:
+    # a tiny y overflows to inf, which the solver reports as divergent
+    @np.errstate(over="ignore")
+    def conjugate_derivatives(self, orders, y):
+        if min(orders) < 1:
             raise ValueError("k must be >= 1")
-        return (-1.0) ** k * math.factorial(k - 1) * y ** (-k)
+        return [(-1.0) ** k * math.factorial(k - 1) * y ** (-k)
+                for k in orders]
 
     def rra(self, x):
         return np.full_like(x, 1.0, dtype=float)[()]
@@ -231,16 +265,22 @@ class PowerUtility(UtilitySpec):
     def second(self, x):
         return (self.p - 1.0) * x ** (self.p - 2.0)
 
+    # as for log, an overflow to inf is reported downstream
+    @np.errstate(over="ignore")
     def conjugate(self, y):
         return -(y**self.q) / self.q
 
-    def conjugate_derivative(self, k, y):
-        if k < 1:
+    @np.errstate(over="ignore")
+    def conjugate_derivatives(self, orders, y):
+        if min(orders) < 1:
             raise ValueError("k must be >= 1")
-        coeff = -1.0
-        for j in range(1, k):
-            coeff *= self.q - j
-        return coeff * y ** (self.q - k)
+        q, out = self.q, []
+        for k in orders:
+            coeff = -1.0
+            for j in range(1, k):
+                coeff *= q - j
+            out.append(coeff * y ** (q - k))
+        return out
 
     def rra(self, x):
         return np.full_like(x, 1.0 - self.p, dtype=float)[()]
@@ -263,17 +303,17 @@ class _ConjugateUtility(UtilitySpec):
         return self.V.order
 
     def inverse_marginal(self, y):
-        if _any(np.asarray(y) <= 0):
+        if _nonpositive(y):
             raise ValueError("y must be positive")
         return -self.V.derivative(1, y)
 
     def conjugate(self, y):
         return self.V.value(y)
 
-    def conjugate_derivative(self, k, y):
-        if k < 1:
+    def conjugate_derivatives(self, orders, y):
+        if min(orders) < 1:
             raise ValueError("k must be >= 1")
-        return self.V.derivative(k, y)
+        return self.V.derivatives(orders, y)
 
 
 @dataclass(frozen=True)
@@ -320,6 +360,7 @@ class FiniteOrderUtility(_ConjugateUtility):
             "build them via UtilitySpec.from_dict")
 
 
+@lru_cache(maxsize=None)
 def footnote_utility(k: int = 1) -> MeasureUtility:
     """Utility with inverse marginal y**(-k) / (y + 1) for integer k >= 1.
 
@@ -327,7 +368,9 @@ def footnote_utility(k: int = 1) -> MeasureUtility:
     + (-1)**k/(y+1), i.e. a measure with density
     sum_j (-1)**(k-j) z**(j-1)/(j-1)! + (-1)**k exp(-z).  Its relative risk
     tolerance is B(y) = k + y/(y+1), strictly monotone, so the relative risk
-    aversion is non-constant.
+    aversion is non-constant.  The utility is immutable, so one instance per
+    k is built and shared: building it runs the sampled nonnegativity probe
+    of the signed density, about a quarter of a millisecond.
     """
     if k < 1 or k != int(k):
         raise ValueError("k must be an integer >= 1")

@@ -8,12 +8,23 @@ and differences such as ``(1 - exp(-z)) dz``.  Moments against the kernel
 ``z**k * exp(-x*z)`` reduce to incomplete-gamma evaluations, so the common
 path needs no quadrature at all.  Both moment kernels act elementwise on
 their rate argument: a scalar gives a float, an array an array of its shape.
+
+``laplace_moments`` is the one kernel for every order: it takes a list of
+kernel orders k and returns one row per order.  When every density piece
+spans [0, inf) and the rates are positive, an array of rates takes all
+pieces and orders as one (piece, order, rate) array, with one ``log``, one
+``exp`` and one overflow check, since log Gamma(a + k + 1) -
+(a + k + 1) log(x + b) shares log(x + b) across the orders.  Each row is
+bitwise the one-order result: the same floating-point operations run
+elementwise, and the pieces are added in the same order.
+``laplace_moment`` is the one-order case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +35,7 @@ __all__ = [
     "DensityPiece",
     "BernsteinMeasure",
     "laplace_moment",
+    "laplace_moments",
     "mass",
     "exp_difference_moment",
 ]
@@ -129,6 +141,17 @@ class BernsteinMeasure:
         if np.min(total) < -1e-9 * scale:
             raise InvalidMeasure("signed pieces produce a negative total density")
 
+    @cached_property
+    def _on_line(self) -> bool:
+        """Whether every density piece spans [0, inf)."""
+        return all(p.lo == 0.0 and math.isinf(p.hi) for p in self.pieces)
+
+    @cached_property
+    def _line_terms(self) -> dict:
+        """``_line_moments``' per-order arrays, keyed by (orders, rate
+        dimensions) and filled on first use."""
+        return {}
+
     def density(self, z):
         z = np.asarray(z, dtype=float)
         out = np.zeros_like(z)
@@ -229,7 +252,8 @@ def laplace_moment(m: BernsteinMeasure, x, k: int = 0):
 
     Atoms are summed exactly; each density piece is reduced to incomplete
     gamma functions when the combined power ``a + k`` exceeds -1 and falls
-    back to adaptive quadrature (scipy ``quad`` at 1e-10) otherwise.
+    back to adaptive quadrature (scipy ``quad`` at 1e-10) otherwise.  This
+    is the one-order case of ``laplace_moments``.
 
     Parameters
     ----------
@@ -247,15 +271,109 @@ def laplace_moment(m: BernsteinMeasure, x, k: int = 0):
     OverflowError
         If a moment exceeds the double range.
     """
+    return laplace_moments(m, x, (k,))[0]
+
+
+def laplace_moments(m: BernsteinMeasure, x, orders):
+    """``laplace_moment(m, x, k)`` for each k in ``orders``: a list of one
+    float per order for a scalar x, else one array of shape
+    ``(len(orders),) + x.shape``.  Row i is bitwise the moment of order
+    ``orders[i]``.
+
+    Positive rates against pieces that all span [0, inf) take every order
+    in one pass: one (piece, order, rate) array for an array of rates, the
+    same operations in Python floats for a scalar.  A zero rate, a
+    truncated piece or a quadrature piece takes the per-piece path once per
+    order.  Either way the call raises what the first failing order would
+    raise alone: on the one-pass path the only failure is OverflowError.
+    """
     x = np.asarray(x, dtype=float)[()]
     # the rates are checked once here: a piece with decay b > 0, or any
     # piece when every x > 0, then has only positive rates x + b
     zero_rate = bool(_least(x) <= 0)
     if zero_rate and _any(x < 0):
         raise ValueError("x must be >= 0")
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a nonnegative integer")
-    k = int(k)
+    ks = []
+    for k in orders:
+        if k < 0 or k != int(k):
+            raise ValueError("k must be a nonnegative integer")
+        ks.append(int(k))
+    if not zero_rate and m._on_line:
+        ks = tuple(ks)
+        return _line_moments(m, x, ks) if x.ndim else _point_moments(m, x, ks)
+    rows = [_moment(m, x, k, zero_rate) for k in ks]
+    return np.array(rows) if x.ndim else [float(r) for r in rows]
+
+
+def _line_terms(m: BernsteinMeasure, ks: tuple[int, ...], ndim: int):
+    """The pieces' b, q = a + k + 1, gammaln(q) and c for orders ``ks``,
+    cached per measure: for array rates of ``ndim`` dimensions, arrays
+    shaped (piece, order, 1, ...); for a scalar rate, b and c as lists and
+    q and gammaln(q) as one list per order."""
+    terms = m._line_terms.get((ks, ndim))
+    if terms is None:
+        a, b, c = (np.array([getattr(p, f) for p in m.pieces]) for f in "abc")
+        q = (a[:, None] + np.array(ks, dtype=float)) + 1.0
+        log_gamma = special.gammaln(q)
+        if ndim:
+            ones = (1,) * ndim
+            terms = (b.reshape(b.shape + ones), q.reshape(q.shape + ones),
+                     log_gamma.reshape(q.shape + ones), c.tolist())
+        else:
+            terms = (b.tolist(), q.T.tolist(), log_gamma.T.tolist(), c.tolist())
+        if len(m._line_terms) < 256:
+            m._line_terms[ks, ndim] = terms
+    return terms
+
+
+def _line_moments(m: BernsteinMeasure, x: np.ndarray, ks: tuple[int, ...]):
+    """Every order at once for positive array rates and pieces on [0, inf):
+    piece i and order k give c_i exp(gammaln(q) - q log(x + b_i)) with
+    q = a_i + k + 1, as ``_power_exp_integral`` forms it."""
+    total = np.zeros((len(ks),) + x.shape)
+    for z, w in m.atoms:
+        weights = np.array([w * z**k for k in ks]).reshape(
+            (-1,) + (1,) * x.ndim)
+        total = total + weights * np.exp(-x * z)
+    if not m.pieces:
+        return total
+    b, q, log_gamma, c = _line_terms(m, ks, x.ndim)
+    terms = q * np.log(x + b)[:, None]
+    np.subtract(log_gamma, terms, out=terms)
+    if _greatest(terms) > _LOG_MAX:
+        raise OverflowError("moment exceeds the double range")
+    np.exp(terms, out=terms)
+    # the pieces are added one by one, in order, as the per-piece path does
+    for coeff, term in zip(c, terms):
+        total += np.multiply(coeff, term, out=term)
+    return total
+
+
+def _point_moments(m: BernsteinMeasure, x, ks: tuple[int, ...]) -> list:
+    """``_line_moments`` for one positive rate, in Python floats, which
+    round as numpy's float64 does: numpy's ``log`` and ``exp`` run on each
+    float, and no array of one element is built."""
+    b, qs, log_gammas, c = _line_terms(m, ks, 0)
+    x = float(x)
+    log_s = [float(np.log(x + bi)) for bi in b]
+    atom_exps = [float(np.exp(-x * z)) for z, _ in m.atoms]
+    out = []
+    for k, q, log_gamma in zip(ks, qs, log_gammas):
+        total = 0.0
+        for (z, w), e in zip(m.atoms, atom_exps):
+            total = total + w * z**k * e
+        for ci, qi, gi, li in zip(c, q, log_gamma, log_s):
+            log_full = gi - qi * li
+            if log_full > _LOG_MAX:
+                raise OverflowError("moment exceeds the double range")
+            total = total + ci * float(np.exp(log_full))
+        out.append(total)
+    return out
+
+
+def _moment(m: BernsteinMeasure, x, k: int, zero_rate: bool):
+    """One order on the per-piece path; ``laplace_moments`` has checked the
+    rates and sets ``zero_rate`` when some rate is 0."""
     total = np.zeros(x.shape)[()]
     for z, w in m.atoms:
         total = total + w * z**k * np.exp(-x * z)
@@ -273,7 +391,7 @@ def laplace_moment(m: BernsteinMeasure, x, k: int = 0):
         else:
             term = _power_exp_integral(power, s, p.lo, p.hi)
         total = total + p.c * term
-    return float(total) if x.ndim == 0 else total
+    return total
 
 
 def _piece_exp_difference(p: DensityPiece, s1, s2: float):
@@ -284,7 +402,11 @@ def _piece_exp_difference(p: DensityPiece, s1, s2: float):
         return (_power_exp_integral(a - 1.0, s1, lo, hi)
                 - _power_exp_integral(a - 1.0, s2, lo, hi))
     if a == 0.0:
-        # 1/t weight: individually log-divergent at 0, the difference is not
+        # 1/t weight: individually log-divergent at 0, the difference is not;
+        # exp1(s * inf) is exactly 0, so an infinite hi adds no terms
+        if math.isinf(hi):
+            return (np.log(s2 / s1) if lo == 0.0
+                    else special.exp1(s1 * lo) - special.exp1(s2 * lo))
         if lo == 0.0:
             return np.log(s2 / s1) - special.exp1(s1 * hi) + special.exp1(s2 * hi)
         return (special.exp1(s1 * lo) - special.exp1(s1 * hi)

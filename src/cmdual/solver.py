@@ -2,13 +2,15 @@
 
 The model enters only through the terminal law of the maximal deflator: the
 dual value function is the expectation v(y) = E[V(y * Y)], its derivatives
-are expectations of V^(n)(y Y) Y**n, each one call on the outcome array,
-the primal marginal is the inverse of -v', and all higher primal
-derivatives follow from the chain-rule partition sum applied to
-u'' = -1/v''(u').  Measure recovery sums the first n dual derivatives at
-n/z, the exact Post-Widder approximant of the measure behind -v', and a
-finite one-period market type supports enumerating the extreme points of its
-supermartingale-deflator set.
+are expectations of V^(n)(y Y) Y**n, and the orders a computation needs at
+one y come from one ``conjugate_derivatives`` call on the outcome array (for
+a measure-backed utility, one Laplace moment pass over every order).  The
+primal marginal is the inverse of -v', whose Newton takes v' and v''
+together at each iterate, and all higher primal derivatives follow from the
+chain-rule partition sum applied to u'' = -1/v''(u').  Measure recovery sums
+the first n dual derivatives at n/z, the exact Post-Widder approximant of
+the measure behind -v', and a finite one-period market type supports
+enumerating the extreme points of its supermartingale-deflator set.
 """
 
 from __future__ import annotations
@@ -268,7 +270,10 @@ class ValueFunctionPair:
     Newton solutions of the primal marginal, keyed by exact argument, and a
     table {n: v^(n)(y)} at the last y evaluated (n = 0 for v itself),
     replaced when y moves, so each order read more than once at one y is
-    computed once.  Only finite values enter it: a divergence raises on every call.
+    computed once.  The orders a computation needs at one y are put in the
+    table by one conjugate call (``_fill``).  Only finite values enter it:
+    an order that fails or diverges is left out and raises on every call
+    that reads it, alone.
     """
 
     def __init__(self, utility: UtilitySpec, model: MarketModel):
@@ -276,6 +281,7 @@ class ValueFunctionPair:
         self.model = model
         self._marginal_cache: dict[float, float] = {}
         self._last: tuple = (None, {})  # (y, {n: v^(n)(y)}), replaced whole
+        self._powers: dict[int, np.ndarray] = {}  # {n: Y**n}
         # a discrete law's states, or the nodes on which the dual probe
         # E[V(Y)] settles; a non-finite probe means the expectation diverges
         # and more nodes cannot help
@@ -320,14 +326,53 @@ class ValueFunctionPair:
         known = self._known_at(y)
         out = known.get(n)
         if out is None:
-            out = float(self._weights @ (
-                self.utility.conjugate_derivative(n, y * self._outcomes)
-                * self._outcomes**n))
+            out = self._expectation(n, self.utility.conjugate_derivative(
+                n, y * self._outcomes))
             if not math.isfinite(out):
                 raise DivergentMoment(f"derivative expectation diverges at "
                                       f"n={n}, y={y}")
             known[n] = out
         return out
+
+    def _fill(self, y: float, orders) -> dict:
+        """Put v^(n)(y) for each of ``orders`` not yet known into the table,
+        from one conjugate call, and return the table.  If that call fails,
+        or an order comes out non-finite, the order stays out;
+        ``dual_derivative`` then computes it alone, and raises, only when it
+        is read."""
+        known = self._known_at(y)
+        top = self.utility.max_order
+        need = [n for n in orders if n not in known and n <= top]
+        if len(need) < 2 or y <= 0:
+            return known  # one order, or a refused y, is read alone
+        try:
+            values = self.utility.conjugate_derivatives(
+                need, y * self._outcomes)
+        except Exception:  # each order raises its own error when read
+            return known
+        for n, vals in zip(need, values):
+            out = self._expectation(n, vals)
+            if math.isfinite(out):
+                known[n] = out
+        return known
+
+    def _expectation(self, n: int, values) -> float:
+        """E[values * Y**n] over the outcomes; each power Y**n is kept."""
+        power = self._powers.get(n)
+        if power is None:
+            power = self._powers[n] = self._outcomes**n
+        return float(self._weights @ (values * power))
+
+    def _newton(self, t: float):
+        """-v'(t) and a reader of -v''(t) for ``invert_decreasing``, both
+        from one fill; an order left out is read through dual_derivative."""
+        known = self._fill(t, (1, 2))
+        first, second = known.get(1), known.get(2)
+        if first is None:
+            first = self.dual_derivative(1, t)
+        if second is None:
+            return -first, lambda: -self.dual_derivative(2, t)
+        return -first, lambda: -second
 
     def dual_optimizer_derivative(self, n: int, y: float) -> StateTable:
         """Derivative in y of the dual optimizer y*Y_T: Y_T at n=1, 0 beyond."""
@@ -346,11 +391,8 @@ class ValueFunctionPair:
         if hit is not None:
             return hit
         try:
-            y = invert_decreasing(
-                lambda t: -self.dual_derivative(1, t),
-                lambda t: -self.dual_derivative(2, t),
-                x,
-            )
+            y = invert_decreasing(lambda t: -self.dual_derivative(1, t),
+                                  self._newton, x)
         except NoRoot:
             raise NoRoot(f"x={x} outside the range of -v'") from None
         if len(self._marginal_cache) < 4096:
@@ -364,6 +406,7 @@ class ValueFunctionPair:
 
     def _reciprocal_derivatives(self, y: float, m: int) -> list[float]:
         """Derivatives 0..m of f = -1/v'' at y via the quotient recursion."""
+        self._fill(y, range(2, m + 3))
         h = [-self.dual_derivative(j + 2, y) for j in range(m + 1)]
         g = [1.0 / h[0]]
         for order in range(1, m + 1):
@@ -429,8 +472,8 @@ class ValueFunctionPair:
             raise OrderExceeded("need V up to order n+1")
         inner = [u * self._outcomes for u in self.primal_derivatives(n + 1, x)]
         # outer[k] = -V^(1+k)(u'(x) Y); no partition of n >= 1 reads outer[0]
-        outer = [None] + [-self.utility.conjugate_derivative(1 + k, inner[0])
-                          for k in range(1, n + 1)]
+        outer = [None] + [-v for v in self.utility.conjugate_derivatives(
+            range(2, n + 2), inner[0])]
         out = _chain_rule(n, outer, inner)
         return StateTable(self._outcomes, self._weights, out)
 
@@ -456,6 +499,7 @@ class ValueFunctionPair:
         if n + 1 > self.utility.max_order:
             raise OrderExceeded("the approximant is defined through v^(n+1)")
         y = n / z
+        self._fill(y, range(1, n + 1))
         terms = []
         for k in range(n):
             val = (-1.0) ** (k + 1) * self.dual_derivative(k + 1, y)

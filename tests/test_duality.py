@@ -229,14 +229,14 @@ def test_invert_decreasing_broadcasts():
 
     fn = FOOTNOTE.inverse_marginal
 
-    def dfn(y):
-        return -FOOTNOTE.conjugate_derivative(2, y)
+    def newton(y):
+        return fn(y), lambda: -FOOTNOTE.conjugate_derivative(2, y)
 
     targets = np.geomspace(1e-4, 1e4, 12).reshape(3, 4)
-    got = invert_decreasing(fn, dfn, targets)
+    got = invert_decreasing(fn, newton, targets)
     assert got.shape == targets.shape
     for t, g in zip(targets.flat, got.flat):
-        one = invert_decreasing(fn, dfn, float(t))
+        one = invert_decreasing(fn, newton, float(t))
         assert type(one) is float
         assert g == pytest.approx(one, rel=1e-14)
         assert fn(one) == pytest.approx(t, rel=1e-11)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from cmdual.errors import InvalidMeasure, NonIntegrable
-from cmdual.measures import BernsteinMeasure, DensityPiece, laplace_moment, mass
+from cmdual.measures import (BernsteinMeasure, DensityPiece, laplace_moment,
+                             laplace_moments, mass)
 
 LEBESGUE = BernsteinMeasure.lebesgue()
 
@@ -264,3 +265,84 @@ def test_exp_difference_moment_broadcasts(a, lo, hi):
         one = exp_difference_moment(m, float(y), 1.0)
         assert type(one) is float
         assert g == pytest.approx(one, rel=1e-14, abs=1e-300)
+
+
+def outcome(run):
+    """The bytes of what ``run`` returns, or the class of what it raises."""
+    try:
+        return np.asarray(run(), dtype=float).tobytes()
+    except Exception as exc:  # the class is compared
+        return type(exc)
+
+
+def per_piece_moment(m, x, k):
+    """``laplace_moment`` as it was before the one-pass path: every piece on
+    its own, one order at a time."""
+    from cmdual.measures import _least, _moment
+
+    x = np.asarray(x, dtype=float)[()]
+    out = _moment(m, x, k, bool(_least(x) <= 0))
+    return float(out) if x.ndim == 0 else out
+
+
+@st.composite
+def moment_cases(draw):
+    """A measure of atoms and of full-range, truncated, signed and
+    quadrature pieces; a scalar or 1-d rate with 0 and overflowing rates
+    among the choices; and a list of orders, repeats and disorder allowed."""
+    positive = st.floats(0.1, 2.0)
+    atoms = draw(st.lists(st.tuples(st.floats(0.0, 5.0), st.floats(0.05, 3.0)),
+                          max_size=2, unique_by=lambda atom: atom[0]))
+    pieces = []
+    kinds = ("line", "line", "signed", "truncated", "quadrature")
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=not atoms,
+                              max_size=3)):
+        c, a = draw(positive), draw(st.floats(-0.9, 2.0))
+        if kind == "line":
+            b = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+            pieces.append(DensityPiece(c, a, b))
+        elif kind == "truncated":
+            lo = draw(st.floats(0.0, 2.0))
+            hi = draw(st.sampled_from([math.inf, lo + draw(st.floats(0.1, 5.0))]))
+            b = draw(st.floats(0.0, 1.0)) if hi < math.inf else draw(positive)
+            pieces.append(DensityPiece(c, a, b, lo + (hi == math.inf), hi))
+        elif kind == "signed":
+            # c z**a exp(-b z) (1 - exp(-d z)) >= 0
+            b, d = draw(st.floats(0.0, 1.0)), draw(positive)
+            pieces += [DensityPiece(c, a, b), DensityPiece(-c, a, b + d)]
+        else:
+            # a + k <= -1 on [lo, hi] away from 0: adaptive quadrature
+            lo = draw(st.floats(0.2, 1.0))
+            pieces.append(DensityPiece(c, draw(st.floats(-3.0, -1.0)), 0.0,
+                                       lo, lo + draw(st.floats(0.5, 3.0))))
+    usual = st.floats(1e-3, 30.0)
+    rate = st.one_of(usual, usual, usual, usual, st.just(0.0),
+                     st.floats(1e-200, 1e-150))
+    x = (draw(rate) if draw(st.booleans())
+         else np.array(draw(st.lists(rate, min_size=1, max_size=4))))
+    ks = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    return BernsteinMeasure(tuple(atoms), tuple(pieces)), x, ks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=moment_cases())
+def test_laplace_moments_rows_are_the_one_order_moments(case):
+    m, x, ks = case
+    singles = [outcome(lambda k=k: laplace_moment(m, x, k)) for k in ks]
+    # the one-pass paths compute what the per-piece path computes
+    assert singles == [outcome(lambda k=k: per_piece_moment(m, x, k))
+                       for k in ks]
+    failed = [one for one in singles if isinstance(one, type)]
+    try:
+        rows = laplace_moments(m, x, ks)
+    except Exception as exc:  # the class is compared
+        assert failed and type(exc) is failed[0]
+        return
+    assert not failed
+    assert [np.asarray(row, dtype=float).tobytes() for row in rows] == singles
+    # a scalar rate gives the element of an array of rates bitwise
+    for j, rate in enumerate(np.atleast_1d(x)):
+        scalar = laplace_moments(m, float(rate), ks)
+        assert all(type(v) is float for v in scalar)
+        assert np.array(scalar).tobytes() == np.array(
+            [np.atleast_1d(row)[j] for row in rows]).tobytes()

@@ -339,7 +339,6 @@ def test_power_bounds_inherited():
                     assert ratio == pytest.approx(k - u.q, rel=1e-8)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_expectations_are_reported():
     from cmdual.errors import DivergentMoment, DualInfinite
 
@@ -853,41 +852,139 @@ def test_audit_evaluates_each_law_once_per_grid(monkeypatch):
 def test_dual_derivative_is_one_kernel_call(monkeypatch):
     # every expectation is one call on the outcome array, never a loop; the
     # measure utility reaches the kernel through its DnFunction conjugate
-    import cmdual.cmcalc
-
     pair = ValueFunctionPair(footnote_utility(1), MarketModel.lognormal(1.0))
-    calls = []
-    kernel = cmdual.cmcalc.laplace_moment
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(cmdual.cmcalc, "laplace_moment", counted)
+    calls = count_kernel_calls(monkeypatch)
     assert pair.dual_derivative(3, 1.0) < 0.0
     assert len(calls) == 1
 
 
-def test_optimizer_derivative_takes_one_kernel_call_per_order(monkeypatch):
-    # the outcome-wise chain rule reads -V^(1+k)(u'(x) Y) once for each
-    # k <= n, not once for each partition of n (5 of them at n = 4)
-    pair = ValueFunctionPair(LOG, TWO_POINT)
-    pair.primal_marginal(1.0)
+def count_kernel_calls(monkeypatch) -> list:
+    """The list to which each Laplace moment call made through
+    ``cmdual.cmcalc`` appends its orders, either entry of the kernel."""
+    import cmdual.cmcalc
+
     calls = []
-    kernel = LogUtility.conjugate_derivative
+    for name, orders in (("laplace_moment", lambda args: (args[2],)),
+                         ("laplace_moments", lambda args: tuple(args[2]))):
+        def counted(*args, kernel=getattr(cmdual.cmcalc, name),
+                    orders=orders):
+            calls.append(orders(args))
+            return kernel(*args)
 
-    def counted(self, k, y):
-        calls.append(k)
-        return kernel(self, k, y)
+        monkeypatch.setattr(cmdual.cmcalc, name, counted)
+    return calls
 
-    monkeypatch.setattr(LogUtility, "conjugate_derivative", counted)
-    pair.primal_derivatives(5, 1.0)
-    assert calls
+
+def test_a_newton_step_is_one_kernel_call(monkeypatch):
+    # a footnote solve row: the bracket's own calls of v' alone, one call
+    # of v' and v'' per Newton step, then v^(3) and v^(4) in one call
+    from cmdual.cli import _solve_row
+
+    pair = ValueFunctionPair(footnote_utility(1), MarketModel.lognormal(1.0))
+    calls = count_kernel_calls(monkeypatch)
+    steps = []
+    newton = pair._newton
+
+    def counted_newton(t):
+        steps.append(len(calls))
+        return newton(t)
+
+    monkeypatch.setattr(pair, "_newton", counted_newton)
+    for x in np.linspace(0.5, 2.0, 4):
+        calls.clear()
+        steps.clear()
+        _solve_row(pair, 4, x)
+        bracket = steps[0]
+        assert steps == list(range(bracket, bracket + len(steps)))
+        assert calls == ([(0,)] * bracket + [(0, 1)] * len(steps)
+                         + [(2, 3)])
+        assert len(calls) <= 10
+    # the scalar U'(x) takes its Newton pair from one call as well
     calls.clear()
-    pair.optimizer_derivative(4, 1.0)
+    footnote_utility(1).marginal(1.3)
+    pairs = calls.count((0, 1))
+    assert pairs and calls == [(0,)] * (len(calls) - pairs) + [(0, 1)] * pairs
+
+
+def test_an_order_failing_alongside_raises_only_when_read():
+    # at kappa 36, V^(3)(y Y) Y**3 overflows on the widest nodes
+    pair = ValueFunctionPair(footnote_utility(1), MarketModel.lognormal(36.0))
+    fresh = ValueFunctionPair(footnote_utility(1), MarketModel.lognormal(36.0))
+    second = fresh.dual_derivative(2, 1.0)
+    pair._fill(1.0, (2, 3))
+    assert pair.dual_derivative(2, 1.0) == second
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            pair.dual_derivative(3, 1.0)
+    # the Newton reads v'' with v' at each iterate, and the solve succeeds
+    y = pair.primal_marginal(1.0)
+    assert math.isfinite(y) and y > 0.0
+    assert pair.primal_derivatives(2, 1.0)[1] < 0.0
+    with pytest.raises(OverflowError):
+        pair.primal_derivatives(4, 1.0)
+
+
+def test_a_non_finite_order_stays_out_of_the_table(monkeypatch):
+    # v^(16)(8) at kappa 4 overflows to inf on the widest nodes, while
+    # v' ... v^(15) are finite; the Widder sum reads all of them at y = 8
+    pair = ValueFunctionPair(LOG, MarketModel.lognormal(4.0))
+    fresh = ValueFunctionPair(LOG, MarketModel.lognormal(4.0))
+    expected = [fresh.dual_derivative(n, 8.0) for n in range(1, 16)]
+    with pytest.raises(DivergentMoment):
+        pair.widder_invert(2.0, 16)
+    calls = []
+    kernel = LogUtility.conjugate_derivatives
+
+    def counted(self, orders, y):
+        calls.append(tuple(orders))
+        return kernel(self, orders, y)
+
+    monkeypatch.setattr(LogUtility, "conjugate_derivatives", counted)
+    assert [pair.dual_derivative(n, 8.0) for n in range(1, 16)] == expected
+    assert calls == []
+    for _ in range(2):
+        with pytest.raises(DivergentMoment):
+            pair.dual_derivative(16, 8.0)
+    assert calls == [(16,), (16,)]
+
+
+def test_the_newton_reads_the_slope_only_while_unsettled():
+    # a conjugate of order 1 offers no v''; at x = -v'(1) the bracket
+    # starts on the root, so the solve reads no slope and succeeds, while
+    # any other x needs v'' and raises
+    from cmdual.cmcalc import DnFunction
+    from cmdual.duality import FiniteOrderUtility
+
+    V = DnFunction.from_nth_derivative(1, lambda t: -1.0 / t**2,
+                                       anchor=(1.0, -1.0))
+    pair = ValueFunctionPair(FiniteOrderUtility(V), DEGENERATE)
+    assert pair.primal_marginal(1.0) == 1.0
+    with pytest.raises(OrderExceeded):
+        pair.primal_marginal(2.0)
+
+
+def test_optimizer_derivative_takes_one_conjugate_call(monkeypatch):
+    # the outcome-wise chain rule reads -V^(1+k)(u'(x) Y) for every k <= n
+    # from one call, not once for each partition of n (5 of them at n = 4)
+    pair = ValueFunctionPair(LOG, TWO_POINT)
+    pair.primal_marginal(1.3)
+    calls = []
+    kernel = LogUtility.conjugate_derivatives
+
+    def counted(self, orders, y):
+        calls.append(tuple(orders))
+        return kernel(self, orders, y)
+
+    monkeypatch.setattr(LogUtility, "conjugate_derivatives", counted)
+    pair.primal_derivatives(5, 1.3)
+    # the Newton left v' and v'' at u'(1.3) in the table; the rest is one
+    # call
+    assert calls == [(3, 4, 5)]
+    calls.clear()
+    pair.optimizer_derivative(4, 1.3)
     # optimizer_derivative(4) starts from primal_derivatives(5), which reads
-    # v'' ... v^(5) at u'(1) from the last-point table
-    assert calls == [2, 3, 4, 5]
+    # v'' ... v^(5) at u'(1.3) from the last-point table
+    assert calls == [(2, 3, 4, 5)]
 
 
 # -- the last-point table and the float-native Newton --------------------------
@@ -1070,7 +1167,6 @@ def test_reads_at_interleaved_points_keep_their_own_values():
             assert got == expected[y][n], (y, n)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_divergent_read_raises_on_every_call():
     pair = ValueFunctionPair(PowerUtility(0.999), MarketModel.lognormal(4.0))
     for _ in range(3):
