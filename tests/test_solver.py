@@ -907,7 +907,7 @@ def test_a_newton_step_is_one_kernel_call(monkeypatch):
 
 
 def test_an_order_failing_alongside_raises_only_when_read():
-    # at kappa 36, V^(3)(y Y) Y**3 overflows on the widest nodes
+    # at kappa 36, V^(3)(y Y) exceeds the double range on the smallest nodes
     pair = ValueFunctionPair(footnote_utility(1), MarketModel.lognormal(36.0))
     fresh = ValueFunctionPair(footnote_utility(1), MarketModel.lognormal(36.0))
     second = fresh.dual_derivative(2, 1.0)
@@ -925,7 +925,7 @@ def test_an_order_failing_alongside_raises_only_when_read():
 
 
 def test_a_non_finite_order_stays_out_of_the_table(monkeypatch):
-    # v^(16)(8) at kappa 4 overflows to inf on the widest nodes, while
+    # at kappa 4, V^(16)(8 Y) overflows to inf on the smallest nodes, while
     # v' ... v^(15) are finite; the Widder sum reads all of them at y = 8
     pair = ValueFunctionPair(LOG, MarketModel.lognormal(4.0))
     fresh = ValueFunctionPair(LOG, MarketModel.lognormal(4.0))
