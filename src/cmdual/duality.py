@@ -224,7 +224,7 @@ class LogUtility(UtilitySpec):
     # a tiny y overflows to inf, which the solver reports as divergent
     @np.errstate(over="ignore")
     def conjugate_derivatives(self, orders, y):
-        if min(orders) < 1:
+        if min(orders, default=1) < 1:
             raise ValueError("k must be >= 1")
         return [(-1.0) ** k * math.factorial(k - 1) * y ** (-k)
                 for k in orders]
@@ -272,7 +272,7 @@ class PowerUtility(UtilitySpec):
 
     @np.errstate(over="ignore")
     def conjugate_derivatives(self, orders, y):
-        if min(orders) < 1:
+        if min(orders, default=1) < 1:
             raise ValueError("k must be >= 1")
         q, out = self.q, []
         for k in orders:
@@ -311,7 +311,7 @@ class _ConjugateUtility(UtilitySpec):
         return self.V.value(y)
 
     def conjugate_derivatives(self, orders, y):
-        if min(orders) < 1:
+        if min(orders, default=1) < 1:
             raise ValueError("k must be >= 1")
         return self.V.derivatives(orders, y)
 
