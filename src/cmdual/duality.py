@@ -315,6 +315,11 @@ class _ConjugateUtility(UtilitySpec):
             raise ValueError("k must be >= 1")
         return self.V.derivatives(orders, y)
 
+    def conjugate_derivative(self, k, y):
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        return self.V.derivative(k, y)
+
 
 @dataclass(frozen=True)
 class MeasureUtility(_ConjugateUtility):
