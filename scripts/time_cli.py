@@ -116,6 +116,9 @@ COMMANDS = {
     "derivatives.footnote": ["derivatives", "--utility", "footnote",
                              "--model", "kappa1", "--order", "4"],
     "derivatives": ["derivatives", "--utility", "log", "--model", "kappa"],
+    # every optimizer order the CLI takes, each one series composition
+    "derivatives.order8": ["derivatives", "--utility", "log", "--model",
+                           "kappa", "--order", "8"],
     "invert": ["invert", "--utility", "log", "--model", "kappa", "--z", "1"],
     "invert.footnote": ["invert", "--utility", "footnote", "--model", "kappa1",
                         "--z", "1"],

@@ -6,8 +6,9 @@ are expectations of V^(n)(y Y) Y**n, and the orders a computation needs at
 one y come from one ``conjugate_derivatives`` call on the outcome array (for
 a measure-backed utility, one Laplace moment pass over every order).  The
 primal marginal is the inverse of -v', whose Newton takes v' and v''
-together at each iterate, and all higher primal derivatives follow from the
-chain-rule partition sum applied to u'' = -1/v''(u').  Measure recovery sums
+together at each iterate; the primal derivatives of every order are the
+reverted Taylor series of -v' at u'(x), and the optimizer's derivatives the
+outcome-wise composition of -V' with that series.  Measure recovery sums
 the first n dual derivatives at n/z, the exact Post-Widder approximant of
 the measure behind -v', and a finite one-period market type supports
 enumerating the extreme points of its supermartingale-deflator set.
@@ -39,7 +40,7 @@ from .errors import (
     OrderExceeded,
     PolytopeEmpty,
 )
-from .partitions import faa_di_bruno_coefficient, multiplicity_partitions
+from .partitions import compose, revert
 
 __all__ = [
     "MarketModel",
@@ -49,9 +50,6 @@ __all__ = [
     "sd_equivalence_audit",
     "EquivalenceReport",
 ]
-
-# highest order of the partition-sum chain rules (primal_derivatives: one more)
-FAA_ORDER_CAP = 8
 
 
 def merged_laws(values, probs) -> list[Discrete]:
@@ -250,19 +248,6 @@ class StateTable:
         return float(np.dot(self.weights, vals))
 
 
-def _chain_rule(m: int, outer, inner):
-    """m-th derivative of g(h) by the Faa di Bruno partition sum, from
-    outer[k] = g^(k)(h) and inner[j] = h^(j), scalars or outcome arrays."""
-    total = 0.0
-    for ks in multiplicity_partitions(m):
-        prod = 1.0
-        for j, k in enumerate(ks, start=1):
-            if k:
-                prod = prod * inner[j] ** k
-        total = total + faa_di_bruno_coefficient(m, ks) * outer[sum(ks)] * prod
-    return total
-
-
 class ValueFunctionPair:
     """Dual/primal value functions bound to a utility and a market model.
 
@@ -404,47 +389,32 @@ class ValueFunctionPair:
         y = self.primal_marginal(x)
         return self.dual_value(y) + x * y
 
-    def _reciprocal_derivatives(self, y: float, m: int) -> list[float]:
-        """Derivatives 0..m of f = -1/v'' at y via the quotient recursion."""
-        self._fill(y, range(2, m + 3))
-        h = [-self.dual_derivative(j + 2, y) for j in range(m + 1)]
-        g = [1.0 / h[0]]
-        for order in range(1, m + 1):
-            acc = 0.0
-            for j in range(1, order + 1):
-                acc += math.comb(order, j) * h[j] * g[order - j]
-            g.append(-acc / h[0])
-        return g
-
     def primal_derivatives(self, n: int, x: float) -> list[float]:
-        """[u'(x), u''(x), ..., u^(n)(x)] by the partition-sum chain rule.
+        """[u'(x), u''(x), ..., u^(n)(x)] by reverting the series of -v'.
 
-        Starting from u''(x) = f(u'(x)) with f = -1/v'', each next order is
-
-            u^(r)(x) = sum over (k_1..k_{r-2}), sum i*k_i = r-2, of
-                (r-2)!/prod(k_j! (j!)**k_j) f^(sum k)(u') prod u^(j+1)**k_j.
+        u' is the inverse of -v', so the coefficients u^(j+1)(x)/j! are
+        those of the inverse of -v' at y = u'(x), whose own coefficients
+        are -v^(k+1)(y)/k! (``partitions.revert``).  The series of -v' is
+        taken in the variable (y' - y)/2^e, 2^e the power of two just above
+        y, so its coefficients stay near x in size and the scaling is exact.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        if n > FAA_ORDER_CAP + 1:
-            raise OrderExceeded(
-                f"partition sums are capped at order {FAA_ORDER_CAP}")
         y = self.primal_marginal(x)
-        derivs = [y]
         if n == 1:
-            return derivs
-        f = self._reciprocal_derivatives(y, max(0, n - 2))
-        for r in range(2, n + 1):
-            # derivs[j] = u^(j+1) is the j-th derivative of u'
-            derivs.append(_chain_rule(r - 2, f, derivs))
-        return derivs
+            return [y]
+        self._fill(y, range(2, n + 1))
+        e = math.frexp(y)[1]
+        a = [None] + [math.ldexp(-self.dual_derivative(k + 1, y), k * e)
+                      / math.factorial(k) for k in range(1, n)]
+        b = revert(a)
+        return [y] + [math.ldexp(b[j] * math.factorial(j), e)
+                      for j in range(1, n)]
 
     def primal_derivative(self, n: int, x: float) -> float:
         """u^(n)(x) for n >= 2 (use primal_marginal for n = 1)."""
         if n < 2:
             raise ValueError("n must be >= 2")
-        if n > FAA_ORDER_CAP:
-            raise OrderExceeded(f"orders are capped at {FAA_ORDER_CAP}")
         return self.primal_derivatives(n, x)[-1]
 
     # -- optimizers ------------------------------------------------------------
@@ -458,23 +428,27 @@ class ValueFunctionPair:
     def optimizer_derivative(self, n: int, x: float) -> StateTable:
         """n-th derivative in x of the optimal terminal wealth, per outcome.
 
-        The chain rule applied outcome-wise to -V'(u'(x) * Y_T) gives
-
-            sum over (k_1..k_n), sum i*k_i = n, of
-            n!/prod(k_j! (j!)**k_j) * (-V^(1+sum k)(u'(x) Y)) *
-            prod_j (u^(j+1)(x) Y)**k_j.
+        Outcome by outcome, X_T(x + s) = -V'(u'(x + s) Y_T) composes the
+        series of -V' at w = u'(x) Y, with coefficients -V^(k+1)(w)/k!, with
+        that of u'(x + s) Y, with coefficients u^(j+1)(x) Y/j!.  Both are
+        taken in the variable (w' - w)/2^e, 2^e the power of two just above
+        w, so a -V^(k+1)(w) near the bottom of the double range is scaled
+        up, exactly, before it is divided by k!.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        if n > FAA_ORDER_CAP:
-            raise OrderExceeded(f"orders are capped at {FAA_ORDER_CAP}")
         if n + 1 > self.utility.max_order:
             raise OrderExceeded("need V up to order n+1")
-        inner = [u * self._outcomes for u in self.primal_derivatives(n + 1, x)]
-        # outer[k] = -V^(1+k)(u'(x) Y); no partition of n >= 1 reads outer[0]
-        outer = [None] + [-v for v in self.utility.conjugate_derivatives(
-            range(2, n + 2), inner[0])]
-        out = _chain_rule(n, outer, inner)
+        derivs = self.primal_derivatives(n + 1, x)
+        w = derivs[0] * self._outcomes
+        e = np.frexp(w)[1]
+        scaled = np.ldexp(self._outcomes, -e)  # Y / 2^e
+        inner = [None] + [u / math.factorial(j) * scaled
+                          for j, u in enumerate(derivs[1:], 1)]
+        conjugate = self.utility.conjugate_derivatives(range(2, n + 2), w)
+        outer = [None] + [np.ldexp(v, k * e) / -math.factorial(k)
+                          for k, v in enumerate(conjugate, 1)]
+        out = compose(outer, inner)[n] * math.factorial(n)
         return StateTable(self._outcomes, self._weights, out)
 
     # -- measure recovery -------------------------------------------------------

@@ -322,6 +322,10 @@ def test_order_exceeded_for_finite_conjugate():
     pair = ValueFunctionPair(FiniteOrderUtility(V), DEGENERATE)
     with pytest.raises(OrderExceeded):
         pair.dual_derivative(3, 1.0)
+    # u''' reads v''', and the optimizer's d2 reads V'''
+    assert len(pair.primal_derivatives(2, 1.0)) == 2
+    with pytest.raises(OrderExceeded):
+        pair.primal_derivatives(3, 1.0)
     with pytest.raises(OrderExceeded):
         pair.optimizer_derivative(2, 1.0)
 
@@ -374,12 +378,88 @@ def test_widder_rejects_negative_interval():
         ValueFunctionPair(finite, DEGENERATE).widder_invert(1.0, 4)
 
 
-def test_partition_order_cap():
-    pair = ValueFunctionPair(SQRT_UTILITY, DEGENERATE)
-    with pytest.raises(OrderExceeded):
-        pair.primal_derivative(9, 1.0)
-    with pytest.raises(OrderExceeded):
-        pair.optimizer_derivative(9, 1.0)
+# each model with E[Y**q] of its deflator, for the power closed form
+CLOSED_FORM_MODELS = [
+    pytest.param(MarketModel.lognormal(1.0),
+                 lambda q: math.exp(q * (q - 1) / 2), id="lognormal"),
+    pytest.param(TWO_POINT, lambda q: 0.5 * 0.5**q + 0.5 * 1.5**q,
+                 id="discrete"),
+]
+
+
+@pytest.mark.parametrize("model, moment", CLOSED_FORM_MODELS)
+def test_log_primal_derivatives_to_order_21(model, moment):
+    # u(x) = log x - E log Y_T, so u^(k+1)(x) = (-1)^k k!/x^(k+1)
+    pair = ValueFunctionPair(LOG, model)
+    for x in (0.4, 1.3, 7.0):
+        exact = [(-1) ** k * math.factorial(k) / x ** (k + 1)
+                 for k in range(21)]
+        assert pair.primal_derivatives(21, x) == pytest.approx(exact,
+                                                               rel=3e-10)
+
+
+@pytest.mark.parametrize("model, moment", CLOSED_FORM_MODELS)
+def test_power_primal_derivatives_to_order_21(model, moment):
+    # u'(x) = (x / E[Y**q])**(p-1), so u^(k+1) = u' (p-1)(p-2)...(p-k)/x^k
+    p = 0.5
+    pair = ValueFunctionPair(PowerUtility(p), model)
+    q = pair.utility.q
+    for x in (0.4, 1.3, 7.0):
+        first = (x / moment(q)) ** (p - 1)
+        exact = [first * math.prod(p - 1 - j for j in range(k)) / x**k
+                 for k in range(21)]
+        assert pair.primal_derivatives(21, x) == pytest.approx(exact,
+                                                               rel=3e-11)
+
+
+@pytest.mark.parametrize("utility", [LOG, PowerUtility(-1.0)],
+                         ids=["log", "power"])
+def test_homothetic_optimizer_is_linear_past_order_8(utility):
+    # X_T(x) = x X_T(1) for log and power utility: every derivative past
+    # the first vanishes, up to the roundoff of its terms, of size X_T/x^n
+    pair = ValueFunctionPair(utility, MarketModel.lognormal(1.0))
+    x = 1.3
+    terminal = pair.optimizer_terminal(x).values
+    first = pair.optimizer_derivative(1, x).values
+    assert first == pytest.approx(terminal / x, rel=1e-12)
+    for n in range(2, 13):
+        scale = math.factorial(n) * np.abs(terminal) / x**n
+        assert np.all(np.abs(pair.optimizer_derivative(n, x).values)
+                      <= 1e-10 * scale), n
+
+
+def test_optimizer_derivative_near_the_bottom_of_the_double_range():
+    import mpmath
+
+    # at the node Y ~ 6.3e3, V^(k+1)(u'(x) Y) is subnormal, so a division
+    # by k! before the products meet would lose bits; the oracle is a
+    # 60-digit derivative of -V'(u'(x) Y) over the pair's own nodes
+    zs, cs = (1.0, 3.5), (1.0, 0.5)
+    utility = UtilitySpec.from_dict({"kind": "finite_order", "n": 8,
+                                     "mixture": {"z": zs, "c": cs}})
+    pair = ValueFunctionPair(utility, MarketModel.lognormal(2.0))
+    x, order = 1.3, 7
+    i = int(np.argmin(np.abs(pair._outcomes - 6.3e3)))
+    got = pair.optimizer_derivative(order, x).values[i]
+    assert 0.0 < got < 1e-290
+    with mpmath.workdps(60):
+        nodes = [mpmath.mpf(float(v)) for v in pair._outcomes]
+        weights = [mpmath.mpf(float(v)) for v in pair._weights]
+
+        def wealth(w):  # -V'(w)
+            return mpmath.fsum(c * z * mpmath.exp(-z * w)
+                               for z, c in zip(zs, cs))
+
+        def marginal(t):  # u'(t), the root of -v'(y) = t
+            return mpmath.findroot(
+                lambda y: mpmath.fsum(p * wealth(y * v) * v
+                                      for p, v in zip(weights, nodes)) - t,
+                mpmath.mpf(pair.primal_marginal(x)))
+
+        exact = mpmath.diff(lambda t: wealth(marginal(t) * nodes[i]),
+                            mpmath.mpf(x), order)
+    # what is left is the subnormal V^(k+1) of the conjugate itself
+    assert abs(got / exact - 1) < 5e-8
 
 
 def test_no_root_outside_range():
