@@ -11,7 +11,11 @@ command once per tree, rotating which tree goes first, and the output
 records whether all trees printed the same stdout and exit code.  Each
 round and tree also runs ``import cmdual.cli`` once under ``-X
 importtime``; the output gives the median cumulative seconds of the main
-modules it loads.
+modules it loads.  Before the rounds, each row runs once more per tree,
+untimed, under ``-X importtime``, and the output lists the scipy
+subpackages that row loads (none for a scipy-free row).  Each tree is
+byte-compiled first, so no row pays for compiling a module whose cached
+bytecode is stale (with PYTHONDONTWRITEBYTECODE set it would, every run).
 
     python scripts/time_cli.py --runs 12 --json timings.json
     python scripts/time_cli.py --src parent=../old/src --src change=src
@@ -202,6 +206,21 @@ def importtime(src: Path, cwd: Path) -> dict:
     return out
 
 
+def scipy_packages(argv, src: Path, cwd: Path) -> list:
+    """The public scipy subpackages (``scipy.special``, ...) that one
+    untimed run of ``argv`` under ``-X importtime`` imports: ``["scipy"]``
+    if it imports scipy's own modules alone, [] if no scipy module."""
+    _, proc = _run([argv[0], "-X", "importtime", *argv[1:]], src, cwd)
+    found = set()
+    for line in proc.stderr.splitlines():
+        name = line.rsplit("|", 1)[-1].strip().split(".")
+        if line.startswith("import time:") and name[0] == "scipy":
+            found.add(name[1] if len(name) > 1 else "")
+    public = sorted(f"scipy.{p}" for p in found
+                    if p and not p.startswith("_") and p != "version")
+    return public or (["scipy"] if found else [])
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", action="append", default=[],
@@ -217,6 +236,9 @@ def main():
     times = {label: {name: [] for name in names} for label in trees}
     outputs = {name: set() for name in names}
     imports = {label: {} for label in trees}
+    for src in trees.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(src)],
+                       check=True)
     with tempfile.TemporaryDirectory() as tmp:
         cwd = Path(tmp)
         files = {}
@@ -224,12 +246,15 @@ def main():
             files[key] = str(cwd / f"{key}.json")
             Path(files[key]).write_text(json.dumps(payload))
         labels = list(trees)
-        for run in range(args.runs):
-            for name in names:
-                argv = ([sys.executable, "-c", SCRIPTS[name]]
+        argvs = {name: ([sys.executable, "-c", SCRIPTS[name]]
                         if name in SCRIPTS else
                         [sys.executable, "-m", "cmdual.cli",
                          *(files.get(a, a) for a in COMMANDS[name])])
+                 for name in names}
+        scipy = {label: {name: scipy_packages(argvs[name], src, cwd)
+                         for name in names} for label, src in trees.items()}
+        for run in range(args.runs):
+            for name, argv in argvs.items():
                 for k in range(len(labels)):
                     label = labels[(run + k) % len(labels)]
                     seconds, proc = _run(argv, trees[label], cwd)
@@ -252,14 +277,16 @@ def main():
                        for name, seen in outputs.items()},
         "timings": {label: {name: _summary(s) for name, s in per.items()}
                     for label, per in times.items()},
+        "scipy_packages": scipy,
         "importtime_median_s": {
             label: {m: statistics.median(s) for m, s in per.items()}
             for label, per in imports.items()},
     }
     for label, per in result["timings"].items():
         for name, s in per.items():
-            print(f"{label:>8} {name:<20} median {s['median_s']:.3f} s "
-                  f"(quartiles {s['q1_s']:.3f}-{s['q3_s']:.3f})")
+            loaded = ", ".join(scipy[label][name]) or "no scipy"
+            print(f"{label:>8} {name:<26} median {s['median_s']:.3f} s "
+                  f"(quartiles {s['q1_s']:.3f}-{s['q3_s']:.3f}) {loaded}")
     if args.json:
         Path(args.json).write_text(json.dumps(result, indent=1) + "\n")
 

@@ -1,6 +1,10 @@
-"""``scipy.special``, imported on first use, so the discrete paths never
-load scipy.  The first access to a name binds it in this module; every
-later call is a plain module attribute lookup."""
+"""``scipy.special``, imported on first use.  Discrete laws, Gauss-Hermite
+rules and full-range measure moments never bind a name here, so those
+commands load no scipy.  What does: a lognormal CDF or quantile (``ndtr``,
+``log_ndtr``, ``ndtri``: dominance witnesses of a violated pair), a
+truncated measure piece (``gammainc``, ``gammaincc``) and the ``exp1``
+terms of ``exp_difference_moment``.  The first access to a name binds it
+in this module; every later call is a plain module attribute lookup."""
 
 import importlib
 

@@ -137,8 +137,7 @@ def _run_solve(args) -> int:
 def _run_derivatives(args) -> int:
     pair = _pair(args)
     terminal = pair.optimizer_terminal(args.x)
-    tables = [pair.optimizer_derivative(n, args.x).values
-              for n in range(1, args.order + 1)]
+    tables = pair.optimizer_derivatives(args.order, args.x)
     header = ["deflator", "weight", "x_hat"] + [
         f"d{n}" for n in range(1, args.order + 1)]
     rows = zip(terminal.deflator, terminal.weights, terminal.values, *tables)

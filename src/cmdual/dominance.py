@@ -55,13 +55,98 @@ def _read_only(a):
     return a
 
 
+# the first zeros of the Airy function Ai, where its asymptotic series is
+# not yet accurate to 1e-9 (Abramowitz & Stegun, table 10.13)
+_AIRY_ZEROS = (-2.338107410459767, -4.087949444130971, -5.520559828095551)
+
+
+def _airy_zeros(count: int) -> np.ndarray:
+    """The first ``count`` zeros a_1 > a_2 > ... of Ai: the table, then
+    a_k = -T(3 pi (4k - 1)/8) from T's asymptotic series (DLMF 9.9.18)."""
+    t = 3.0 * math.pi / 8.0 * (4.0 * np.arange(1, count + 1) - 1.0)
+    u = t**-2.0
+    a = -t ** (2.0 / 3.0) * (1.0 + u * (5.0 / 48.0 + u * (-5.0 / 36.0 + u * (
+        77125.0 / 82944.0 - u * 108056875.0 / 6967296.0))))
+    head = min(count, len(_AIRY_ZEROS))
+    a[:head] = _AIRY_ZEROS[:head]
+    return a
+
+
+def _hermite_guesses(n: int) -> np.ndarray:
+    """The nonnegative zeros of H_n, ascending, to about 1e-7: Tricomi's
+    asymptotic form in the bulk and Gatteschi's near sqrt(2n), split where
+    Townsend, Trogdon & Olver (IMA J. Numer. Anal. 36, 2016) split them."""
+    half, nu = n // 2, 2.0 * n + 1.0
+    split = max(0, round(0.49082003 * n - 4.37859653) + 1)
+    # Tricomi: tau - sin(tau) = c, by Newton from pi/2
+    c = (4.0 * (half - np.arange(1, split + 1)) + 3.0) * math.pi / nu
+    tau = np.full(split, math.pi / 2.0)
+    for _ in range(8):
+        tau -= (tau - np.sin(tau) - c) / (1.0 - np.cos(tau))
+    s = np.cos(tau / 2.0) ** 2
+    bulk = nu * s - (5.0 / (4.0 * (1.0 - s) ** 2) - 1.0 / (1.0 - s)
+                     - 0.25) / (3.0 * nu)
+    a, r = _airy_zeros(half - split)[::-1], nu ** (1.0 / 3.0)
+    edge = (nu + 2.0 ** (2.0 / 3.0) * a * r + 0.2 * 2.0 ** (4.0 / 3.0) * a**2 / r
+            + (9.0 / 140.0 - 12.0 / 175.0 * a**3) / nu
+            + (16.0 / 1575.0 * a + 92.0 / 7875.0 * a**4) * 2.0 ** (2.0 / 3.0) / r**5
+            - (15152.0 / 3031875.0 * a**5 + 1088.0 / 121275.0 * a**2)
+            * 2.0 ** (1.0 / 3.0) / r**7)
+    x = np.sqrt(np.concatenate([bulk, edge]))
+    return np.concatenate([[0.0], x]) if n % 2 else x
+
+
+def _hermite_recurrence(n: int, y: np.ndarray):
+    """He_n(y) 2**-e, He_(n-1)(y) 2**-e and e, elementwise, from
+    He_(k+1) = y He_k - k He_(k-1); every 16 steps both are scaled by a
+    power of two, exactly, so the recurrence never overflows."""
+    prev, cur, buf = np.zeros_like(y), np.ones_like(y), np.empty_like(y)
+    e = np.zeros(y.shape, dtype=int)
+    for k in range(n):
+        prev *= -k
+        prev += np.multiply(y, cur, out=buf)
+        prev, cur = cur, prev
+        if k % 16 == 15:
+            s = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))[1]
+            cur, prev = np.ldexp(cur, -s), np.ldexp(prev, -s)
+            e += s
+    return cur, prev, e
+
+
 @lru_cache(maxsize=None)
 def _hermite_rule(n: int):
-    """n-point Gauss-Hermite nodes and weights, weights divided by sqrt(pi)."""
-    t, w = special.roots_hermite(n)
-    w = w / math.sqrt(math.pi)
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
+    """n-point Gauss-Hermite nodes, ascending, and weights summing to 1,
+    built on first use and read-only.
+
+    The nonnegative nodes start from ``_hermite_guesses`` and take Newton
+    steps on the recurrence of He_k(y), y = sqrt(2) x, the orthonormal
+    Hermite polynomials up to a constant per degree, until every step is
+    below 1e-14 (1 + y): two or three steps at 64-4096 nodes, O(n**2)
+    work in all, with no eigensolve.  The weights are Christoffel's
+    1/sum_k p_k(x)**2 = 1/(n p_(n-1)(x)**2) at each node (Golub & Welsch,
+    Math. Comp. 23, 1969): 1/He_(n-1)**2 from the last step, its power-of-
+    two scale put back exactly, normalised to sum 1.  Far enough out they
+    underflow to 0, as exp(-x**2) does.  Against a 40-digit mpmath Newton
+    polish the nodes are within 1e-15 (1 + |x|) and the normal weights
+    within 1e-12 relative; a settled lognormal moment E[Y**q] is within
+    2e-14 relative of exp(qm + q**2 s**2/2) (tests/test_dominance.py).
+    A rule costs about 1 ms at 64 nodes, 1.6 ms at 128, 17 ms at 2048 and
+    56 ms at 4096 (one thread, 2-vCPU container).
+    """
+    y = math.sqrt(2.0) * _hermite_guesses(n)
+    for _ in range(8):
+        he, he_prev, e = _hermite_recurrence(n, y)
+        step = he / (n * he_prev)
+        y -= step
+        if np.all(np.abs(step) <= 1e-14 * (1.0 + y)):
+            break
+    else:
+        raise QuadratureFailure(f"{n} Gauss-Hermite nodes did not converge")
+    w = np.ldexp(1.0 / he_prev**2, 2 * (e.min() - e))
+    x = y / math.sqrt(2.0)
+    t = np.concatenate([-x[::-1], x[n % 2:]])
+    w = np.concatenate([w[::-1], w[n % 2:]])
+    return _read_only(t), _read_only(w / w.sum())
 
 
 class QuadratureRule(NamedTuple):

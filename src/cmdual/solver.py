@@ -411,12 +411,6 @@ class ValueFunctionPair:
         return [y] + [math.ldexp(b[j] * math.factorial(j), e)
                       for j in range(1, n)]
 
-    def primal_derivative(self, n: int, x: float) -> float:
-        """u^(n)(x) for n >= 2 (use primal_marginal for n = 1)."""
-        if n < 2:
-            raise ValueError("n must be >= 2")
-        return self.primal_derivatives(n, x)[-1]
-
     # -- optimizers ------------------------------------------------------------
 
     def optimizer_terminal(self, x: float) -> StateTable:
@@ -426,14 +420,24 @@ class ValueFunctionPair:
         return StateTable(self._outcomes, self._weights, vals)
 
     def optimizer_derivative(self, n: int, x: float) -> StateTable:
-        """n-th derivative in x of the optimal terminal wealth, per outcome.
+        """n-th derivative in x of the optimal terminal wealth, per outcome:
+        the last entry of ``optimizer_derivatives(n, x)``."""
+        out = self.optimizer_derivatives(n, x)[-1]
+        return StateTable(self._outcomes, self._weights, out)
+
+    def optimizer_derivatives(self, n: int, x: float) -> list[np.ndarray]:
+        """[d1, ..., dn], the derivatives in x of the optimal terminal
+        wealth through order n, one array over the outcomes each, from one
+        series composition.
 
         Outcome by outcome, X_T(x + s) = -V'(u'(x + s) Y_T) composes the
         series of -V' at w = u'(x) Y, with coefficients -V^(k+1)(w)/k!, with
         that of u'(x + s) Y, with coefficients u^(j+1)(x) Y/j!.  Both are
         taken in the variable (w' - w)/2^e, 2^e the power of two just above
         w, so a -V^(k+1)(w) near the bottom of the double range is scaled
-        up, exactly, before it is divided by k!.
+        up, exactly, before it is divided by k!.  Coefficient j of the
+        composite reads the two series through order j alone, so d_j is
+        bitwise what a composition through order j gives.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -448,8 +452,8 @@ class ValueFunctionPair:
         conjugate = self.utility.conjugate_derivatives(range(2, n + 2), w)
         outer = [None] + [np.ldexp(v, k * e) / -math.factorial(k)
                           for k, v in enumerate(conjugate, 1)]
-        out = compose(outer, inner)[n] * math.factorial(n)
-        return StateTable(self._outcomes, self._weights, out)
+        series = compose(outer, inner)
+        return [series[j] * math.factorial(j) for j in range(1, n + 1)]
 
     # -- measure recovery -------------------------------------------------------
 

@@ -132,13 +132,15 @@ def test_criterion_04_derivative_formulas():
                             (uname, mname, n, y)
                 for n in range(2, 5):
                     for x in (0.5, 1.0, 2.0):
-                        got = pair.primal_derivative(n, x)
+                        got = pair.primal_derivatives(n, x)[-1]
                         fd = high_order_diff(pair.primal_value, x, n, 0.02 * x)
                         assert got == pytest.approx(fd, rel=1e-5), \
                             (uname, mname, n, x)
         pair = ValueFunctionPair(SQRT_UTILITY, MarketModel.degenerate())
-        assert pair.primal_derivative(2, 1.0) == pytest.approx(-0.5, abs=1e-8)
-        assert pair.primal_derivative(3, 1.0) == pytest.approx(0.75, abs=1e-8)
+        assert pair.primal_derivatives(2, 1.0)[-1] == pytest.approx(
+        -0.5, abs=1e-8)
+        assert pair.primal_derivatives(3, 1.0)[-1] == pytest.approx(
+        0.75, abs=1e-8)
 
 
 def test_criterion_05_optimizer_derivatives():
@@ -278,7 +280,7 @@ def test_criterion_10_homotheticity_preserved():
             rra = []
             for x in xs:
                 up = pair.primal_marginal(x)
-                upp = pair.primal_derivative(2, x)
+                upp = pair.primal_derivatives(2, x)[-1]
                 rra.append(-upp * x / up)
             assert np.ptp(rra) <= 1e-8
             assert rra[0] == pytest.approx(1.0 - p, abs=1e-7)

@@ -366,12 +366,12 @@ def test_discrete_order_8_loads_no_numpy_polynomial(discrete_inputs):
 
 
 def test_first_scipy_use_after_a_discrete_command(discrete_inputs, tmp_path):
-    # a measure utility on a lognormal model binds scipy.special on first
-    # use, after a discrete command ran without it; it must print the same
-    # bytes as in a fresh process
-    utility = write(tmp_path, "foot.json", footnote_utility(1).to_dict())
-    model = write(tmp_path, "kappa.json", {"kappa": 0.25})
-    solve = ["solve", "--utility", utility, "--model", model, "--grid", "0.5:2:2"]
+    # a violated lognormal pair binds scipy.special on first use (the normal
+    # CDF of its witnesses), after a discrete command ran without it; it
+    # must print the same bytes as in a fresh process
+    F = write(tmp_path, "F.json", LOGNORMAL_INPUTS["LNhidF"])
+    G = write(tmp_path, "G.json", LOGNORMAL_INPUTS["LNhidG"])
+    violated = ["dominance", F, G, "--order", "2"]
     dominance = ["dominance", discrete_inputs["F"], discrete_inputs["G"]]
     code = ("import contextlib, io, json, sys\n"
             "from cmdual.cli import main\n"
@@ -379,15 +379,63 @@ def test_first_scipy_use_after_a_discrete_command(discrete_inputs, tmp_path):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    main(first)\n"
             "assert 'scipy.special' not in sys.modules\n"
-            "sys.exit(main(second))")
+            "code = main(second)\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "sys.exit(code)")
     env = dict(os.environ, PYTHONPATH=str(Path(cmdual.__file__).parents[1]))
     after = subprocess.run([sys.executable, "-c", code,
-                            json.dumps([dominance, solve])],
+                            json.dumps([dominance, violated])],
                            capture_output=True, text=True, env=env)
-    fresh = subprocess.run([sys.executable, "-m", "cmdual.cli", *solve],
+    fresh = subprocess.run([sys.executable, "-m", "cmdual.cli", *violated],
                            capture_output=True, text=True, env=env)
-    assert after.returncode == fresh.returncode == 0, after.stderr
+    assert after.returncode == fresh.returncode == 1, after.stderr
     assert after.stdout == fresh.stdout != ""
+    assert json.loads(after.stdout)["verdict"] == "violated"
+
+
+LOGNORMAL_INPUTS = {
+    "LNF": {"kind": "lognormal", "m": 0.0, "s2": 0.1},
+    "LNG": {"kind": "lognormal", "m": -0.2, "s2": 0.4},
+    # violated near 1.68e-4, far below the grid's tolerance
+    "LNhidF": {"kind": "lognormal", "m": 0.0, "s2": 0.408**2},
+    "LNhidG": {"kind": "lognormal", "m": -0.098, "s2": 0.403**2},
+    "log": {"kind": "log"},
+    "power": {"kind": "power", "p": -1.0},
+    "footnote": footnote_utility(1).to_dict(),
+    "footnote2": footnote_utility(2).to_dict(),
+    "kappa": {"kappa": 0.25},
+    "kappa1": {"kappa": 1},
+}
+# commands on lognormal laws and markets whose every expectation is a
+# Gauss-Hermite sum or a full-range measure moment: neither needs scipy
+LOGNORMAL_COMMANDS = {
+    "audit": ["audit", "LNF", "LNG"],
+    "audit-violated": ["audit", "LNhidG", "LNhidF", "--order", "2"],
+    "solve-power": ["solve", "--utility", "power", "--model", "kappa"],
+    "solve-footnote": ["solve", "--utility", "footnote", "--model", "kappa1"],
+    "solve-footnote2": ["solve", "--utility", "footnote2", "--model",
+                        "kappa1"],
+    "solve-order8": ["solve", "--utility", "footnote", "--model", "kappa1",
+                     "--order", "8"],
+    "derivatives-log": ["derivatives", "--utility", "log", "--model",
+                        "kappa"],
+    "derivatives-order8": ["derivatives", "--utility", "log", "--model",
+                           "kappa", "--order", "8"],
+    "derivatives-footnote": ["derivatives", "--utility", "footnote",
+                             "--model", "kappa1", "--order", "4"],
+    "invert-log": ["invert", "--utility", "log", "--model", "kappa",
+                   "--z", "1"],
+    "invert-footnote": ["invert", "--utility", "footnote", "--model",
+                        "kappa1", "--z", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", LOGNORMAL_COMMANDS.values(),
+                         ids=LOGNORMAL_COMMANDS.keys())
+def test_lognormal_commands_load_no_scipy(tmp_path, argv):
+    argv = [write(tmp_path, f"{a}.json", LOGNORMAL_INPUTS[a])
+            if a in LOGNORMAL_INPUTS else a for a in argv]
+    assert loaded_after(argv) == set()
 
 
 MODEL = ["--utility", "log", "--model", "deflator"]

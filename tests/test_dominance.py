@@ -2,8 +2,10 @@
 
 import math
 import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -239,6 +241,77 @@ def test_audit_is_seed_deterministic():
     a = function_audit(UNIF02, DELTA1, 2, family_size=50, seed=3)
     b = function_audit(UNIF02, DELTA1, 2, family_size=50, seed=3)
     assert a == b
+
+
+# every rung of the doubling ladder, and two odd counts
+HERMITE_COUNTS = (64, 65, 128, 151, 256, 512, 1024, 2048, 4096)
+
+
+def mp_hermite_node(n, x):
+    """A 40-digit Gauss-Hermite node polished from ``x`` by two Newton steps
+    on H_(k+1) = 2t H_k - 2k H_(k-1), and its weight 2**(n-1) n!/(n**2
+    H_(n-1)**2), normalised to sum 1."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(float(x))
+        for _ in range(2):
+            prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(n):
+                prev, cur = cur, 2 * t * cur - 2 * k * prev
+            t -= cur / (2 * n * prev)
+        weight = mpmath.mpf(2) ** (n - 1) * mpmath.factorial(n) / (n * prev) ** 2
+        return t, weight
+
+
+@pytest.mark.parametrize("n", HERMITE_COUNTS)
+def test_hermite_rule_is_symmetric_and_normalised(n):
+    t, w = dominance._hermite_rule(n)
+    assert t.shape == w.shape == (n,)
+    assert not t.flags.writeable and not w.flags.writeable
+    assert np.all(np.diff(t) > 0)
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    assert (t[n // 2] == 0.0) == (n % 2 == 1)
+    # weights underflow only where exp(-t**2) does
+    assert np.all(w >= 0.0) and np.all(w[np.abs(t) < 27.0] > 0.0)
+    assert abs(math.fsum(w) - 1.0) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", HERMITE_COUNTS)
+def test_hermite_rule_matches_a_40_digit_newton_polish(n):
+    # the nodes within 1e-15 (1 + |t|), the weights within 1e-12 relative
+    # where they are normal numbers; centre, edge and bulk nodes
+    t, w = dominance._hermite_rule(n)
+    half = n // 2
+    for i in {half, half + 1, half + 2, *range(n - 4, n),
+              *np.linspace(half, n - 1, 6).astype(int)}:
+        node, weight = mp_hermite_node(n, t[i])
+        assert abs(node - t[i]) <= 1e-15 * (1 + abs(t[i])), i
+        if weight > 1e-290:
+            assert abs(weight - w[i]) <= 1e-12 * weight, i
+        else:
+            assert w[i] <= 1e-290, i
+
+
+@pytest.mark.parametrize("m, s2", [(0.0, 0.05), (-0.5, 0.25), (0.3, 1.0),
+                                   (0.0, 4.0)])
+def test_lognormal_rule_reproduces_the_moments(m, s2):
+    # E[Y**q] = exp(q m + q**2 s**2/2), on the rule the ladder settles on
+    law = Lognormal(m, s2)
+    for q in (-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0, 4.0):
+        exact = math.exp(q * m + q * q * s2 / 2)
+        got = law.rule(lambda y: y**q).value
+        assert abs(got - exact) <= 2e-14 * exact, q
+
+
+def test_hermite_rule_is_built_on_first_use():
+    # importing the CLI builds no rule: start-up pays for none
+    code = ("import cmdual.cli\n"
+            "from cmdual.dominance import _hermite_rule\n"
+            "assert _hermite_rule.cache_info().currsize == 0\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(dominance.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 def test_lognormal_laplace_and_mean():

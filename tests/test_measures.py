@@ -1,13 +1,19 @@
 """Tests for atom + power-exponential measures and their weighted moments."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from cmdual import measures
 from cmdual.errors import InvalidMeasure, NonIntegrable
 from cmdual.measures import (BernsteinMeasure, DensityPiece, laplace_moment,
                              laplace_moments, mass)
@@ -81,6 +87,37 @@ def test_full_range_piece_is_a_gamma_ratio(c, a, b):
         q = a + k + 1.0
         want = c * math.gamma(q) / (x + b) ** q
         assert laplace_moment(m, x, k) == pytest.approx(want, rel=1e-14)
+
+
+def test_line_log_gammas_match_mpmath():
+    # the bound the measures docstring states: log Gamma(q) within
+    # 1e-15 max(1, |log Gamma(q)|), on 25 exponents a and orders 0-20,
+    # for array and scalar rates alike
+    a = np.linspace(-0.9, 10.0, 25)
+    m = BernsteinMeasure(pieces=tuple(DensityPiece(1.0, ai, 1.0) for ai in a))
+    ks = tuple(range(21))
+    _, q, log_gamma, _ = measures._line_terms(m, ks, 1)
+    _, q0, log_gamma0, _ = measures._line_terms(m, ks, 0)
+    assert np.array_equal(np.transpose(q0), q[..., 0])
+    assert np.array_equal(np.transpose(log_gamma0), log_gamma[..., 0])
+    with mpmath.workdps(40):
+        for qi, got in zip(q.ravel(), log_gamma.ravel()):
+            want = mpmath.loggamma(qi)
+            assert abs(got - want) <= 1e-15 * max(1, abs(want)), qi
+
+
+def test_full_range_moments_load_no_scipy():
+    code = ("import sys\n"
+            "from cmdual.duality import footnote_utility\n"
+            "from cmdual.measures import laplace_moments\n"
+            "m = footnote_utility(2).measure\n"
+            "laplace_moments(m, 0.7, (0, 1, 2))\n"
+            "laplace_moments(m, [0.7, 2.0], (0, 3))\n"
+            "assert not any(n.startswith('scipy') for n in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(measures.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 def test_mass_examples():

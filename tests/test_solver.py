@@ -145,8 +145,10 @@ def test_primal_round_trip_and_conjugate_consistency():
 def test_primal_second_and_third_derivative_closed_form():
     pair = ValueFunctionPair(SQRT_UTILITY, DEGENERATE)
     # u(x) = 2 sqrt(x)
-    assert pair.primal_derivative(2, 1.0) == pytest.approx(-0.5, abs=1e-8)
-    assert pair.primal_derivative(3, 1.0) == pytest.approx(0.75, abs=1e-8)
+    assert pair.primal_derivatives(2, 1.0)[-1] == pytest.approx(
+        -0.5, abs=1e-8)
+    assert pair.primal_derivatives(3, 1.0)[-1] == pytest.approx(
+        0.75, abs=1e-8)
     assert pair.primal_value(4.0) == pytest.approx(4.0, rel=1e-10)
 
 
@@ -155,7 +157,7 @@ def test_primal_second_equals_inverse_function_theorem():
         pair = ValueFunctionPair(SQRT_UTILITY, model)
         for x in (0.5, 1.0, 2.0):
             y = pair.primal_marginal(x)
-            assert pair.primal_derivative(2, x) == pytest.approx(
+            assert pair.primal_derivatives(2, x)[-1] == pytest.approx(
                 -1.0 / pair.dual_derivative(2, y), rel=1e-10)
 
 
@@ -167,7 +169,7 @@ def test_primal_derivative_matches_finite_differences(utility, model):
     pair = ValueFunctionPair(utility, model)
     for n in range(2, 5):
         for x in (0.5, 1.0, 2.0):
-            got = pair.primal_derivative(n, x)
+            got = pair.primal_derivatives(n, x)[-1]
             fd = high_order_diff(pair.primal_value, x, n, 0.02 * x)
             assert got == pytest.approx(fd, rel=1e-5), (n, x)
 
@@ -1065,6 +1067,44 @@ def test_optimizer_derivative_takes_one_conjugate_call(monkeypatch):
     # optimizer_derivative(4) starts from primal_derivatives(5), which reads
     # v'' ... v^(5) at u'(1.3) from the last-point table
     assert calls == [(2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("utility", [LOG, PowerUtility(-1.0),
+                                     footnote_utility(1)],
+                         ids=["log", "power", "footnote"])
+@pytest.mark.parametrize("model", [TWO_POINT, LOGNORMAL,
+                                   MarketModel.lognormal(1.0)],
+                         ids=["twopoint", "lognormal", "lognormal1"])
+def test_optimizer_derivatives_are_each_order_alone(utility, model):
+    # one composition through order 8 holds every lower order, bitwise what
+    # a composition through that order alone gives, on a pair of its own
+    for x in (0.5, 1.3):
+        jet = ValueFunctionPair(utility, model).optimizer_derivatives(8, x)
+        alone = ValueFunctionPair(utility, model)
+        assert len(jet) == 8
+        for j, d in enumerate(jet, 1):
+            want = alone.optimizer_derivative(j, x).values
+            assert d.tobytes() == want.tobytes(), (j, x)
+
+
+def test_derivatives_command_makes_one_composition(monkeypatch, tmp_path,
+                                                   capsys):
+    calls = []
+    jet = ValueFunctionPair.optimizer_derivatives
+
+    def counted(self, n, x):
+        calls.append(n)
+        return jet(self, n, x)
+
+    monkeypatch.setattr(ValueFunctionPair, "optimizer_derivatives", counted)
+    utility = tmp_path / "log.json"
+    model = tmp_path / "kappa.json"
+    utility.write_text(json.dumps({"kind": "log"}))
+    model.write_text(json.dumps({"kappa": 0.25}))
+    assert main(["derivatives", "--utility", str(utility), "--model",
+                 str(model), "--order", "8"]) == 0
+    assert calls == [8]
+    assert "d8" in capsys.readouterr().out
 
 
 # -- the last-point table and the float-native Newton --------------------------
