@@ -15,8 +15,8 @@ V is pinned only up to the anchor value V(y0); the anchor defaults to
 Each spec implements ``conjugate_derivatives(orders, y)``, which gives
 several orders of V at once; ``conjugate_derivative(k, y)`` is its
 one-order case.  A measure-backed V computes all orders in one Laplace
-moment call, and the closed forms loop their formulas.  The Newton of
-``marginal`` reads V' and V'' at each iterate from one such call.
+moment call, and the closed forms loop their formulas.  The log-log
+Newton of ``marginal`` reads V' and V'' at each iterate from one such call.
 """
 
 from __future__ import annotations
@@ -42,74 +42,71 @@ __all__ = [
 ]
 
 
-def invert_decreasing(fn, newton, target):
+def invert_decreasing(newton, target):
     """Solve fn(y) = target elementwise for a strictly decreasing positive fn.
 
-    Each element is bracketed by geometric halving and doubling from y = 1,
-    evaluating fn alone, then solved by Newton to a relative residual of
-    1e-12 in at most 200 steps, falling back to bisection whenever an
-    iterate leaves its bracket.  At each Newton iterate ``newton(y)`` returns
-    fn(y) and a function of no arguments giving fn'(y), so a caller can
-    compute both in one evaluation; the slope is read only while some
-    residual is unsettled, so a slope that fails where the root is already
-    found is never asked for.  fn and newton act elementwise on the shape of
-    ``target``: a scalar target gives a float, an array an array.  A scalar
-    is solved in Python floats, with no numpy call on any iterate but fn's
-    and newton's.
+    Newton on log y -> log fn(y) from y = 1: ``newton(y)`` gives fn(y) and a
+    reader of fn'(y), called only while a residual is unsettled, and the
+    step y (target / fn(y))**(1/e), e = y fn'(y) / fn(y), solves a power law
+    at once.  A point settles at a relative residual of 1e-12, else it ends
+    a bracket on its residual's side (a NaN: the upper end).  A step that is
+    not finite or leaves the bracket gives way to its geometric midpoint,
+    or, while one end is unknown, to a move toward it by 2, 4, 16, 256, ...
+    Reaching 0 or infinity, or 100 evaluations, raises NoRoot.  A scalar
+    target is solved in Python floats, with no numpy call but newton's.
     """
-    scalar = np.ndim(target) == 0
-    if scalar:
-        target, lo = float(target), 1.0
+    if np.ndim(target) == 0:
+        target, y, lo = float(target), 1.0, 0.0
         tol = 1e-12 * max(abs(target), 1e-300)
-        every, where, magnitude = bool, _pick, abs
+        every, magnitude, advance = bool, abs, _advance
     else:
         target = np.asarray(target, dtype=float)
-        lo = np.ones(target.shape)
+        y, lo = np.ones(target.shape), np.zeros(target.shape)
         tol = 1e-12 * np.maximum(np.abs(target), 1e-300)
-        every, where, magnitude = np.all, np.where, np.abs
-    hi = lo
-    flo = fhi = fn(lo)
-    for _ in range(2000):
-        # written so that a NaN counts as outside the bracket
-        low_ok, high_ok = flo >= target, fhi <= target
-        if not every(low_ok):
-            lo = where(low_ok, lo, lo / 2.0)
-            if not every(lo > 0.0):
-                raise NoRoot("target above the attainable range")
-            flo = where(low_ok, flo, fn(lo))
-        elif not every(high_ok):
-            hi = where(high_ok, hi, hi * 2.0)
-            fhi = where(high_ok, fhi, fn(hi))
-        else:
-            break
-    else:
-        raise NoRoot("target below the attainable range")
-    y = 0.5 * (lo + hi)
-    for _ in range(200):
+        every, magnitude, advance = np.all, np.abs, _advances
+    hi, jump = lo + math.inf, lo + 2.0
+    for _ in range(100):
         value, read_slope = newton(y)
-        f = value - target
-        settled = magnitude(f) <= tol
+        settled = magnitude(value - target) <= tol
         if every(settled):
-            break
-        # each iterate lies inside its bracket and replaces one end of it
-        above = f > 0
-        lo = where(above, y, lo)
-        hi = where(above, hi, y)
-        # a zero or non-finite slope gives a step outside the bracket
-        slope = read_slope()
-        if scalar:
-            step = y - f / slope if slope != 0.0 else math.inf
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = y - f / slope
-        step = where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-        y = where(settled, y, step)
-    return float(y) if scalar else y
+            return y
+        y, lo, hi, jump = advance(y, value, read_slope(), target, lo, hi,
+                                  jump, settled)
+        if not every((0.0 < y) & (y < math.inf)):
+            raise NoRoot("target outside the attainable range")
+    raise NoRoot("no settled root in 100 evaluations")
 
 
-def _pick(cond, a, b):
-    """np.where for a scalar condition."""
-    return a if cond else b
+def _advance(y, value, slope, target, lo, hi, jump, settled):
+    """Next scalar iterate, bracket and move factor of invert_decreasing."""
+    value, slope = float(value), float(slope)
+    lo, hi = (y, hi) if value > target else (lo, y)
+    try:
+        ratio = target / value
+        step = y * ratio ** (value / (y * slope)) if ratio > 0.0 else math.nan
+    except (ZeroDivisionError, OverflowError):
+        step = math.nan
+    if lo < step < hi:
+        return step, lo, hi, jump
+    if lo > 0.0 and hi < math.inf:
+        return math.sqrt(lo) * math.sqrt(hi), lo, hi, jump
+    return (y * jump if hi == math.inf else y / jump), lo, hi, jump * jump
+
+
+def _advances(y, value, slope, target, lo, hi, jump, settled):
+    """``_advance`` elementwise; a settled element stays where it is."""
+    above = value > target
+    lo, hi = np.where(above, y, lo), np.where(above, hi, y)
+    with np.errstate(all="ignore"):
+        ratio = target / value
+        step = y * np.where(ratio > 0.0, ratio, np.nan) ** (value / (y * slope))
+        inside = (lo < step) & (step < hi)
+        both = (lo > 0.0) & (hi < math.inf)
+        step = np.where(inside, step, np.where(
+            both, np.sqrt(lo) * np.sqrt(hi),
+            np.where(hi == math.inf, y * jump, y / jump)))
+        jump = np.where(inside | both | settled, jump, jump * jump)
+    return np.where(settled, y, step), lo, hi, jump
 
 
 def _nonpositive(v) -> bool:
@@ -158,7 +155,7 @@ class UtilitySpec:
         if _nonpositive(x):
             raise ValueError("x must be positive")
         try:
-            return invert_decreasing(self.inverse_marginal, self._newton, x)
+            return invert_decreasing(self._newton, x)
         except NoRoot as exc:
             raise RangeError(f"x={x} outside the range of the inverse "
                              f"marginal") from exc

@@ -5,8 +5,8 @@ dual value function is the expectation v(y) = E[V(y * Y)], its derivatives
 are expectations of V^(n)(y Y) Y**n, and the orders a computation needs at
 one y come from one ``conjugate_derivatives`` call on the outcome array (for
 a measure-backed utility, one Laplace moment pass over every order).  The
-primal marginal is the inverse of -v', whose Newton takes v' and v''
-together at each iterate; the primal derivatives of every order are the
+primal marginal is the inverse of -v', whose log-log Newton takes v' and
+v'' together at each iterate; the primal derivatives of every order are the
 reverted Taylor series of -v' at u'(x), and the optimizer's derivatives the
 outcome-wise composition of -V' with that series.  Measure recovery sums
 the first n dual derivatives at n/z, the exact Post-Widder approximant of
@@ -349,11 +349,13 @@ class ValueFunctionPair:
         return float(self._weights @ (values * power))
 
     def _newton(self, t: float):
-        """-v'(t) and a reader of -v''(t) for ``invert_decreasing``, both
-        from one fill; an order left out is read through dual_derivative."""
+        """-v'(t) and a reader of -v''(t) from one fill, an order left out
+        read alone; a t whose products t * Y underflow to 0 is no root."""
         known = self._fill(t, (1, 2))
         first, second = known.get(1), known.get(2)
         if first is None:
+            if t * self._outcomes.min() == 0.0:
+                raise NoRoot("t * Y underflows")
             first = self.dual_derivative(1, t)
         if second is None:
             return -first, lambda: -self.dual_derivative(2, t)
@@ -376,8 +378,7 @@ class ValueFunctionPair:
         if hit is not None:
             return hit
         try:
-            y = invert_decreasing(lambda t: -self.dual_derivative(1, t),
-                                  self._newton, x)
+            y = invert_decreasing(self._newton, x)
         except NoRoot:
             raise NoRoot(f"x={x} outside the range of -v'") from None
         if len(self._marginal_cache) < 4096:

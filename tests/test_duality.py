@@ -15,7 +15,8 @@ from cmdual.duality import (
     UtilitySpec,
     footnote_utility,
 )
-from cmdual.errors import InvalidMeasure, NonIntegrable, OrderExceeded
+from cmdual.errors import (InvalidMeasure, NonIntegrable, NoRoot,
+                           OrderExceeded, RangeError)
 from cmdual.measures import BernsteinMeasure
 
 LOG = LogUtility()
@@ -233,10 +234,71 @@ def test_invert_decreasing_broadcasts():
         return fn(y), lambda: -FOOTNOTE.conjugate_derivative(2, y)
 
     targets = np.geomspace(1e-4, 1e4, 12).reshape(3, 4)
-    got = invert_decreasing(fn, newton, targets)
+    got = invert_decreasing(newton, targets)
     assert got.shape == targets.shape
     for t, g in zip(targets.flat, got.flat):
-        one = invert_decreasing(fn, newton, float(t))
+        one = invert_decreasing(newton, float(t))
         assert type(one) is float
         assert g == pytest.approx(one, rel=1e-14)
         assert fn(one) == pytest.approx(t, rel=1e-11)
+
+
+def test_marginal_above_a_bounded_inverse_marginal_is_a_range_error(
+        monkeypatch):
+    # -V'(0+) = 1 + 0.5 = 1.5 for this mixture; the search reaches y = 0 in
+    # a few squaring moves, not a thousand halvings
+    u = UtilitySpec.from_dict({"kind": "finite_order", "n": 4, "mixture": {
+        "z": [1.0, 2.0], "c": [1.0, 0.5]}})
+    calls, newton = [], FiniteOrderUtility._newton
+    monkeypatch.setattr(FiniteOrderUtility, "_newton",
+                        lambda self, y: calls.append(y) or newton(self, y))
+    for x in (2.5, np.array([0.5, 2.5])):
+        calls.clear()
+        with pytest.raises(RangeError):
+            u.marginal(x)
+        assert 0 < len(calls) <= 64
+
+
+def test_a_nan_never_settles():
+    from cmdual.duality import invert_decreasing
+
+    def nan_between(a, b):
+        # fn = 1/y, but NaN on (a, b)
+        def newton(y):
+            y = np.asarray(y)
+            gap = (a < y) & (y < b)
+            with np.errstate(all="ignore"):
+                value = np.where(gap, np.nan, 1.0 / y)[()]
+                slope = np.where(gap, np.nan, -1.0 / y**2)[()]
+            return value, lambda: slope
+        return newton
+
+    everywhere = nan_between(0.0, np.inf)
+    around_the_root = nan_between(0.5, 2.0)
+    for newton, target in ((everywhere, 1.0), (around_the_root, 1.0),
+                           (around_the_root, np.array([4.0, 1.0]))):
+        with pytest.raises(NoRoot):
+            invert_decreasing(newton, target)
+    # outside the NaN region the root is found, a NaN taken as the upper end
+    assert invert_decreasing(around_the_root, 4.0) == 0.25
+    assert invert_decreasing(around_the_root, np.array([4.0])) == [0.25]
+
+
+def test_a_step_onto_a_bracket_end_gives_way_to_the_midpoint():
+    from cmdual.duality import invert_decreasing
+
+    # fn(y) and fn'(y) where they are read: from y = 1 the log-log step
+    # lands on 16, from 16 exactly back on the lower end 1; the geometric
+    # midpoint 4 is the root of fn = 0.5
+    table = {1.0: (1.0, -0.25), 16.0: (1.0 / 32, -1.0 / 512),
+             4.0: (0.5, -0.125)}
+    for target in (0.5, np.array([0.5, 0.5])):
+        calls = []
+
+        def newton(y):
+            calls.append(np.max(y))
+            value, slope = np.vectorize(table.get, otypes=[float, float])(y)
+            return value[()], lambda: slope[()]
+
+        assert np.all(invert_decreasing(newton, target) == 4.0)
+        assert calls == [1.0, 16.0, 4.0]

@@ -1111,8 +1111,46 @@ def test_derivatives_command_makes_one_composition(monkeypatch, tmp_path,
 
 
 def reference_invert_decreasing(fn, dfn, target):
-    """The Newton solve as it was before its scalar bookkeeping moved to
-    Python floats: numpy scalars and masks on every iterate."""
+    """``invert_decreasing``'s log-log Newton written on numpy scalars and
+    masks on every iterate, with fn and its slope dfn computed apart."""
+    def where(cond, a, b):
+        if cond.ndim == 0:
+            return a if cond else b
+        return np.where(cond, a, b)
+
+    target = np.asarray(target, dtype=float)[()]
+    y = np.full(target.shape, 1.0)[()]
+    lo = 0.0 * y
+    hi, jump = lo + math.inf, lo + 2.0
+    tol = 1e-12 * np.maximum(np.abs(target), 1e-300)
+    for _ in range(100):
+        value = fn(y)
+        f = value - target
+        settled = np.abs(f) <= tol
+        if np.all(settled):
+            return float(y) if np.ndim(y) == 0 else y
+        above = f > 0
+        lo = where(above, y, lo)
+        hi = where(above, hi, y)
+        slope = dfn(y)
+        ratio = target / value
+        step = y * where(ratio > 0.0, ratio, np.nan) ** (value / (y * slope))
+        inside = (lo < step) & (step < hi)
+        both = (lo > 0.0) & (hi < math.inf)
+        step = where(inside, step, where(
+            both, np.sqrt(lo) * np.sqrt(hi),
+            where(hi == math.inf, y * jump, y / jump)))
+        jump = where(inside | both | settled, jump, jump * jump)
+        y = where(settled, y, step)
+        if not np.all((0.0 < y) & (y < math.inf)):
+            raise NoRoot("target outside the attainable range")
+    raise NoRoot("no settled root")
+
+
+def bracketed_invert_decreasing(fn, dfn, target):
+    """The solve the log-log Newton replaced, kept as an oracle for its
+    roots: a bracket by halving and doubling from y = 1, then Newton in y
+    with bisection, on numpy scalars and masks."""
     def where(cond, a, b):
         if cond.ndim == 0:
             return a if cond else b
@@ -1192,10 +1230,15 @@ class ReferencePair(ValueFunctionPair):
         hit = self._marginal_cache.get(x)
         if hit is not None:
             return hit
+        def fn(t):
+            # products t * Y that underflow to 0 are past the solve
+            if t * self._outcomes.min() == 0.0:
+                raise NoRoot("t * Y underflows")
+            return -self.dual_derivative(1, t)
+
         try:
             y = reference_invert_decreasing(
-                lambda t: -self.dual_derivative(1, t),
-                lambda t: -self.dual_derivative(2, t), x)
+                fn, lambda t: -self.dual_derivative(2, t), x)
         except NoRoot:
             raise NoRoot(f"x={x} outside the range of -v'") from None
         self._marginal_cache[x] = y
@@ -1267,6 +1310,135 @@ def test_solver_outputs_are_bitwise_those_of_the_reference_path(case):
         for target in (x, np.array([x, 0.5 * x, 3.0])):
             assert (outcome(lambda: utility.marginal(target))
                     == outcome(lambda: reference_marginal(target)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=solver_cases())
+def test_roots_sit_within_1e_11_of_the_bracketed_solve(case):
+    utility, model, _, x, _ = case
+    pair = ValueFunctionPair(utility, model)
+    solves = [(pair.primal_marginal, lambda t: -pair.dual_derivative(1, t),
+               lambda t: -pair.dual_derivative(2, t), NoRoot)]
+    if type(utility).marginal is UtilitySpec.marginal:
+        solves.append((utility.marginal, utility.inverse_marginal,
+                       lambda t: -utility.conjugate_derivative(2, t),
+                       RangeError))
+    for solve, fn, dfn, out_of_range in solves:
+        try:
+            want = bracketed_invert_decreasing(fn, dfn, x)
+        # the bracket's halving stops at a y whose products y * Y underflow
+        except (NoRoot, ValueError):
+            with pytest.raises(out_of_range):
+                solve(x)
+            continue
+        assert solve(x) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+def test_cex2_moves_within_its_stated_bound(monkeypatch):
+    # D+-(eps) multiplies a rounding of u by 2 / eps**2; what does not pass
+    # through a difference quotient stays within 1e-11
+    from cmdual import duality
+    from cmdual.counterexamples import cex2_build, cex2_gap
+
+    def run():
+        return cex2_gap(cex2_build(n_states=200), (1e-2, 1e-3, 1e-4))
+
+    new = run()
+    monkeypatch.setattr(
+        duality, "invert_decreasing",
+        lambda newton, target: bracketed_invert_decreasing(
+            lambda y: newton(y)[0], lambda y: newton(y)[1](), target))
+    old = run()
+    for name in ("gap", "q_at_hat", "q_constrained", "delta_hat"):
+        assert getattr(new, name) == pytest.approx(getattr(old, name),
+                                                   rel=1e-11, abs=0.0), name
+    for eps, got, want in zip(new.eps, new.d_plus + new.d_minus,
+                              old.d_plus + old.d_minus):
+        assert abs(got - want) <= 1e-15 * 2.0 / eps**2
+    for report in (new, old):
+        assert report.gap > 0 and report.margin > 0
+        assert report.d_plus[-1] > report.midpoint > report.d_minus[-1]
+
+
+KAPPAS = (0.25, 0.5, 1.0, 2.0, 4.0)
+GRID = (0.3, 0.5, 1.0, 1.3, 2.0, 4.0, 7.0)
+
+
+def counted_newton(pair):
+    """Count the pair's ``_newton`` evaluations in a list's length."""
+    calls, newton = [], pair._newton
+
+    def counted(t):
+        calls.append(t)
+        return newton(t)
+
+    pair._newton = counted
+    return calls
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_log_and_power_roots_are_the_closed_forms(kappa):
+    model = MarketModel.lognormal(kappa)
+    for x in GRID:
+        assert ValueFunctionPair(LOG, model).primal_marginal(x) == \
+            pytest.approx(1.0 / x, rel=1e-15, abs=0.0)
+    for p in (-3.0, -2.0, -1.0, -0.5, 0.3, 0.5, 0.7):
+        pair = ValueFunctionPair(PowerUtility(p), model)
+        q = pair.utility.q
+        moment = float(pair._weights @ pair._outcomes**q)
+        for x in GRID:
+            want = (x / moment) ** (1.0 / (q - 1.0))
+            # the one log-log step from y = 1 is exact but for the rounding
+            # of the elasticity q - 1, which log(x / moment) / (q - 1)
+            # carries into y
+            scale = max(1.0, abs(math.log(x / moment) / (q - 1.0)))
+            assert pair.primal_marginal(x) == pytest.approx(
+                want, rel=1e-15 * scale, abs=0.0), (p, x)
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_solves_take_few_evaluations(kappa):
+    model = MarketModel.lognormal(kappa)
+    for utility, most in ((LOG, 2), (PowerUtility(-1.5), 2),
+                          (PowerUtility(0.5), 2), (footnote_utility(1), 6),
+                          (footnote_utility(2), 6)):
+        for x in GRID:
+            pair = ValueFunctionPair(utility, model)
+            calls = counted_newton(pair)
+            pair.primal_marginal(x)
+            assert len(calls) <= most, (utility, x, len(calls))
+
+
+def test_a_root_on_a_bracket_end_does_not_crawl():
+    # log utility: -v'(y) = 1/y, so the first step lands on u'(0.5) = 2,
+    # the end a bracket by halving and doubling from 1 would stop at
+    pair = ValueFunctionPair(LOG, LOGNORMAL)
+    calls = counted_newton(pair)
+    assert pair.primal_marginal(0.5) == 2.0
+    assert len(calls) == 2
+
+
+BOUNDED_MIXTURE = {"kind": "finite_order", "n": 4,
+                   "mixture": {"z": [1.0, 2.0], "c": [1.0, 0.5]}}
+
+
+def test_a_target_above_a_bounded_marginal_is_no_root(tmp_path, capsys):
+    # -v'(0+) = 1 + 0.5 * 2 = 2 on the two-point deflator, so x = 2.5 has no
+    # root; the search runs to y = 0 in a few squaring moves instead of
+    # halving until y * Y underflows
+    pair = ValueFunctionPair(UtilitySpec.from_dict(BOUNDED_MIXTURE), TWO_POINT)
+    calls = counted_newton(pair)
+    with pytest.raises(NoRoot, match="x=2.5 outside the range of -v'"):
+        pair.primal_marginal(2.5)
+    assert len(calls) <= 64
+    utility, model = tmp_path / "u.json", tmp_path / "m.json"
+    utility.write_text(json.dumps(BOUNDED_MIXTURE))
+    model.write_text(json.dumps({"kind": "discrete", "x": [0.5, 1.5],
+                                 "p": [0.5, 0.5]}))
+    assert main(["solve", "--utility", str(utility), "--model", str(model),
+                 "--grid", "0.5:2.5:3"]) == 3
+    assert "x=2.5 outside the range of -v'" in capsys.readouterr().err
 
 
 def test_reads_at_interleaved_points_keep_their_own_values():
