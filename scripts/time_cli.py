@@ -35,6 +35,13 @@ from pathlib import Path
 INPUTS = {
     "F": {"kind": "discrete", "x": [1.0, 2.0, 3.0], "p": [0.2, 0.5, 0.3]},
     "G": {"kind": "discrete", "x": [0.5, 1.5, 2.5], "p": [0.2, 0.5, 0.3]},
+    # Gspread pulled halfway to its mean 1.76: violated at order 1 and
+    # dominant from order 2 on, so at order 8 the intervals where
+    # F_1 - G_1 changes sign are still searched
+    "Fpull": {"kind": "discrete", "x": [1.13, 1.63, 2.13, 2.43],
+              "p": [0.2, 0.4, 0.3, 0.1]},
+    "Gspread": {"kind": "discrete", "x": [0.5, 1.5, 2.5, 3.1],
+                "p": [0.2, 0.4, 0.3, 0.1]},
     # a true order-2 violation of 1e-12 at 0.005001, below the old absolute
     # tie floor of 1e-10: the discrete tie must be relative to be seen
     "Ftie": {"kind": "discrete", "x": [0.005, 0.1], "p": [1e-6, 0.999999]},
@@ -93,9 +100,13 @@ INPUTS = {
 # name -> argv; an argv entry naming an INPUTS key is replaced by its file
 COMMANDS = {
     "dominance.order2": ["dominance", "F", "G", "--order", "2"],
-    # F dominates G, so every interval interior is searched
+    # F dominates G at order 1, so no interval slope changes sign
     "dominance.order8": ["dominance", "F", "G", "--order", "8"],
     "dominance.inf": ["dominance", "F", "G", "--order", "inf"],
+    "dominance.order8.spread": ["dominance", "Fpull", "Gspread", "--order",
+                                "8"],
+    "dominance.inf.spread": ["dominance", "Fpull", "Gspread", "--order",
+                             "inf"],
     "dominance.tie": ["dominance", "Ftie", "Gtie", "--order", "2"],
     "dominance.inf.range": ["dominance", "Frange", "Grange", "--order", "inf"],
     "dominance.lognormal": ["dominance", "LNF", "LNG", "--order", "2"],

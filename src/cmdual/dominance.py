@@ -37,6 +37,7 @@ __all__ = [
     "discrete_witness_table",
     "laplace_witness_table",
     "laplace_end_violated",
+    "second_order_settled",
     "expectation_vs_iterated",
     "test_function_audit",
     "DominanceVerdict",
@@ -477,16 +478,20 @@ def _interior_witness(knots, mask, dc, gc):
     the interval from its knot k (mask[p]: its knots) to its next, that
     falls below the relative tie of G's and F's values there (gc: G's
     coefficients); NaN if none.
-    The slopes' roots are polyroots': each slope is trimmed of exactly-zero
+    Only slopes that change sign have a root t > 0 (Descartes' rule of
+    signs), and their roots are polyroots': each is trimmed of exactly-zero
     leading coefficients, and all slopes of one trimmed degree m share one
     eigensolve of polycompanion's m-by-m matrices (m = 1 needs none).
     """
     pair, k = np.nonzero(mask)
+    slope = dc[pair, 1:, k] * np.arange(1, dc.shape[1])
+    deg = np.where(slope != 0, np.arange(slope.shape[1]), 0).max(axis=1)
+    deg[~((slope > 0).any(axis=1) & (slope < 0).any(axis=1))] = 0
+    if not deg.any():
+        return np.full(mask.shape[0], np.nan)
     start, width = knots[k], np.diff(knots[k], append=math.inf)
     width[np.diff(pair, append=-1) != 0] = math.inf  # each pair's last one
     c = np.stack((dc[pair, :, k], gc[pair, :, k]), axis=1)
-    slope = c[:, 0, 1:] * np.arange(1, c.shape[2])
-    deg = np.where(slope != 0, np.arange(slope.shape[1]), 0).max(axis=1)
     owner, ts = [np.zeros(0, dtype=int)], [np.zeros(0)]
     for m in sorted(set(deg.tolist()) - {0}):
         at = np.flatnonzero(deg == m)
@@ -524,7 +529,9 @@ def discrete_witness_table(rows, cols, n: int) -> np.ndarray:
     Each law's F_1..F_n come from one call on the union of all knots.  For
     the whole rectangle at once, each pair masked to its own knots, the
     knots are checked, then every undecided pair's interior minima with one
-    stacked eigensolve per slope degree, then the tail.
+    stacked eigensolve per slope degree over the slopes that change sign
+    (their coefficients are G_m - F_m, m < n, at the knot: where F_1 <= G_1
+    none does), then the tail.
     """
     laws, ri, ci = _distinct(rows, cols)
     sizes = [len(law.xs) for law in laws]
@@ -695,11 +702,12 @@ def dominates_n(F: Distribution, G: Distribution, n: int) -> DominanceVerdict:
 
     For discrete pairs the comparison is exact piecewise polynomial
     analysis (``discrete_witness_table`` on one pair) including interior
-    minima, and two lognormals are decided in closed form
-    (``_levy_dominates``); mixed kinds fall back to a refined grid whose
-    verdict must be stable across two refinements.  Ties count as
-    dominance: relative on the exact path, with the floor ABS_TOL added on
-    the grid.
+    minima, sought only where the slope changes sign (no other slope has a
+    positive root, by Descartes' rule of signs), and two lognormals are
+    decided in closed form (``_levy_dominates``); mixed kinds fall back to a
+    refined grid whose verdict must be stable across two refinements.  Ties
+    count as dominance: relative on the exact path, with the floor ABS_TOL
+    added on the grid.
     """
     if n < 1 or n != int(n):
         raise ValueError("n must be an integer >= 1")
@@ -748,20 +756,29 @@ def laplace_end_violated(F: Discrete, G: Discrete) -> bool:
     return len(F.xs) > len(G.xs)
 
 
+def second_order_settled(rows, cols) -> np.ndarray:
+    """Does each row law dominate each column law (all Discrete) at order 2,
+    and so at infinite order: E[e^-z xi_F] = z^2 int_0^inf e^-zy F_2(y) dy?"""
+    return np.isnan(discrete_witness_table(rows, cols, 2))
+
+
 def dominates_inf(F: Distribution, G: Distribution) -> DominanceVerdict:
     """Does F dominate G at infinite order: E[e^-z xi_F] <= E[e^-z xi_G] for z > 0?
 
     ``laplace_witness_table`` on one pair; two lognormals are decided in
     closed form (``_levy_dominates``), and the table only finds the
-    witness of a violated one.  A discrete pair the grid finds no witness
-    for is still violated, with no witness, where ``laplace_end_violated``
-    says so: the violation lies outside Z_RANGE or below its tie.
+    witness of a violated one.  A discrete pair dominating at order 2 needs
+    no grid (``second_order_settled``); one the grid finds no witness for is
+    still violated, with no witness, where ``laplace_end_violated`` says so:
+    the violation lies outside Z_RANGE or below its tie.
     """
     if isinstance(F, Lognormal) and isinstance(G, Lognormal):
         return _lognormal_verdict(F, G, math.inf)
+    discrete = isinstance(F, Discrete) and isinstance(G, Discrete)
+    if discrete and second_order_settled([F], [G])[0, 0]:
+        return DominanceVerdict(True, None, math.inf)
     witness = laplace_witness_table([F], [G])[0, 0]
-    if (math.isnan(witness) and isinstance(F, Discrete)
-            and isinstance(G, Discrete) and laplace_end_violated(F, G)):
+    if math.isnan(witness) and discrete and laplace_end_violated(F, G):
         return DominanceVerdict(False, None, math.inf)
     return _verdict(witness, math.inf)
 

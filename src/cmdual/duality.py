@@ -52,7 +52,8 @@ def invert_decreasing(newton, target):
     a bracket on its residual's side (a NaN: the upper end).  A step that is
     not finite or leaves the bracket gives way to its geometric midpoint,
     or, while one end is unknown, to a move toward it by 2, 4, 16, 256, ...
-    Reaching 0 or infinity, or 100 evaluations, raises NoRoot.  A scalar
+    Reaching 0 or infinity, a bracket of adjacent floats (so no unsettled
+    point is evaluated twice), or 100 evaluations raises NoRoot.  A scalar
     target is solved in Python floats, with no numpy call but newton's.
     """
     if np.ndim(target) == 0:
@@ -72,7 +73,8 @@ def invert_decreasing(newton, target):
             return y
         y, lo, hi, jump = advance(y, value, read_slope(), target, lo, hi,
                                   jump, settled)
-        if not every((0.0 < y) & (y < math.inf)):
+        # off the open bracket: 0, infinity, or an end already evaluated
+        if not every(settled | ((lo < y) & (y < hi))):
             raise NoRoot("target outside the attainable range")
     raise NoRoot("no settled root in 100 evaluations")
 

@@ -28,9 +28,9 @@ from .dominance import (
     Discrete,
     Distribution,
     Lognormal,
-    discrete_witness_table,
     laplace_end_violated,
     laplace_witness_table,
+    second_order_settled,
 )
 from .duality import UtilitySpec, invert_decreasing
 from .errors import (
@@ -604,7 +604,7 @@ def sd_equivalence_audit(fm: FiniteMarket, candidate=None) -> EquivalenceReport:
     else:
         candidates = [np.asarray(candidate, dtype=float)]
         cand_laws = merged_laws(candidates, probs)
-    settled = np.isnan(discrete_witness_table(cand_laws, laws, 2))
+    settled = second_order_settled(cand_laws, laws)
     laplace = _laplace_column(cand_laws, laws, settled)
     conditional = _conditional_dominates(probs, candidates, vertices)
     results = [

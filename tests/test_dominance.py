@@ -36,6 +36,7 @@ from cmdual.dominance import (
 )
 from cmdual.dominance import test_function_audit as function_audit
 from cmdual.errors import QuadratureFailure
+from cmdual.solver import _laplace_column
 
 DELTA1 = Discrete.point(1.0)
 DELTA2 = Discrete.point(2.0)
@@ -596,10 +597,15 @@ def test_interior_kernel_matches_per_interval_search(n):
     assert 0 < sum(found) < len(found)
 
 
-def test_order_8_verdict_eigensolves_once_per_slope_degree(monkeypatch):
-    # a dominating pair searches every interval; the intervals share one
-    # stacked eigensolve per trimmed slope degree, and no numpy.polynomial
-    # function runs
+# G, its copy shifted up (first-order dominant) and its copy pulled halfway
+# to its mean 1.76 (violated at order 1, dominant from order 2 on)
+SPREAD_G = Discrete((0.5, 1.5, 2.5, 3.1), (0.2, 0.4, 0.3, 0.1))
+SHIFTED_F = Discrete((1.0, 2.0, 3.0, 3.6), SPREAD_G.ps)
+CONTRACTED_F = Discrete((1.13, 1.63, 2.13, 2.43), SPREAD_G.ps)
+
+
+def counted_eigvals(monkeypatch):
+    """The matrix size of every np.linalg.eigvals call, as it happens."""
     degrees = []
     eigvals = np.linalg.eigvals
 
@@ -608,6 +614,14 @@ def test_order_8_verdict_eigensolves_once_per_slope_degree(monkeypatch):
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return degrees
+
+
+def test_order_8_verdict_eigensolves_once_per_slope_degree(monkeypatch):
+    # a dominating pair searches every interval whose slope changes sign;
+    # those intervals share one stacked eigensolve per trimmed slope degree,
+    # and no numpy.polynomial function runs
+    degrees = counted_eigvals(monkeypatch)
     polynomial = []
 
     def watch(frame, event, arg):
@@ -615,16 +629,33 @@ def test_order_8_verdict_eigensolves_once_per_slope_degree(monkeypatch):
         if event == "call" and f"numpy{os.sep}polynomial{os.sep}" in path:
             polynomial.append(frame.f_code.co_name)
 
-    G = Discrete((0.5, 1.5, 2.5, 3.1), (0.2, 0.4, 0.3, 0.1))
-    F = Discrete((1.0, 2.0, 3.0, 3.6), G.ps)
+    assert not dominates_n(CONTRACTED_F, SPREAD_G, 1)
     sys.setprofile(watch)
     try:
-        verdict = dominates_n(F, G, 8)
+        verdict = dominates_n(CONTRACTED_F, SPREAD_G, 8)
     finally:
         sys.setprofile(None)
     assert verdict
     assert degrees and len(degrees) == len(set(degrees)), degrees
     assert polynomial == []
+
+
+def test_a_first_order_dominant_pair_skips_eigensolve_and_grid(monkeypatch):
+    # every slope of a first-order dominant pair keeps one sign, so no
+    # interval has an interior minimum to solve for (Descartes' rule of
+    # signs); and order 2 settles infinite order with no Laplace grid
+    degrees = counted_eigvals(monkeypatch)
+    assert dominates_n(SHIFTED_F, SPREAD_G, 1)
+    assert dominates_n(SHIFTED_F, SPREAD_G, 8)
+    assert degrees == []
+
+    def grid(*args):
+        raise AssertionError("laplace_witness_table called")
+
+    monkeypatch.setattr(dominance, "laplace_witness_table", grid)
+    for F in (SHIFTED_F, CONTRACTED_F):
+        assert dominates_inf(F, SPREAD_G).to_dict() == {
+            "verdict": "dominates", "order": "inf", "witness": None}
 
 
 def test_violation_past_the_last_knot_is_found_by_the_tail_walk(monkeypatch):
@@ -808,6 +839,130 @@ def test_discrete_verdicts_are_scale_free_with_exact_witnesses(pair, k):
                 w = verdict.witness
                 assert normalised_iterated(Gs, n, w) < normalised_iterated(
                     Fs, n, w), (n, scale, w)
+
+
+def every_interval_witness(knots, mask, dc, gc):
+    """The interior search before the Descartes filter, kept as the oracle:
+    it solves the slope of every knot interval, whatever its signs."""
+    pair, k = np.nonzero(mask)
+    start, width = knots[k], np.diff(knots[k], append=math.inf)
+    width[np.diff(pair, append=-1) != 0] = math.inf  # each pair's last one
+    c = np.stack((dc[pair, :, k], gc[pair, :, k]), axis=1)
+    slope = c[:, 0, 1:] * np.arange(1, c.shape[2])
+    deg = np.where(slope != 0, np.arange(slope.shape[1]), 0).max(axis=1)
+    owner, ts = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for m in sorted(set(deg.tolist()) - {0}):
+        at = np.flatnonzero(deg == m)
+        companion = np.zeros((at.size, m, m))
+        companion[:, np.arange(1, m), np.arange(m - 1)] = 1
+        companion[:, :, -1] -= slope[at, :m] / slope[at, m:m + 1]
+        roots = companion[:, :, 0] if m == 1 else np.linalg.eigvals(companion)
+        row, col = np.nonzero((np.abs(roots.imag) < 1e-12) & (roots.real > 0)
+                              & (roots.real < width[at, None]))
+        owner.append(at[row])
+        ts.append(roots.real[row, col])
+    owner, ts = np.concatenate(owner), np.concatenate(ts)
+    dval, gval = dominance._horner(c[owner], ts[:, None]).T
+    bad = dval < -dominance._tie(gval, gval - dval)
+    order = np.lexsort((ts, owner, ~bad))[:np.count_nonzero(bad)]
+    owner, ts = owner[order], ts[order]
+    first = np.diff(pair[owner], prepend=-1) != 0
+    out = np.full(mask.shape[0], np.nan)
+    out[pair[owner[first]]] = start[owner[first]] + ts[first]
+    return out
+
+
+@st.composite
+def law_families(draw):
+    """2-4 laws of 1-6 atoms and masses from small integer weights.  The
+    first has atoms spread over 1e-3..1e3 or over [0, 3] (its lowest
+    sometimes moved to 0); each next one is a law of its own, a law sharing
+    some atoms of the one before, or that law shifted up or pulled toward
+    its mean."""
+    def law(xs):
+        weights = draw(st.lists(st.integers(1, 20), min_size=len(xs),
+                                max_size=len(xs)))
+        return Discrete(tuple(xs), tuple(w / sum(weights) for w in weights))
+
+    def atoms():
+        ks = draw(st.lists(st.integers(-300, 300), min_size=1, max_size=6,
+                           unique=True))
+        xs = sorted(10.0 ** (k / 100) if decades else (k + 300) / 200
+                    for k in ks)
+        return [0.0, *xs[1:]] if draw(st.booleans()) else xs
+
+    decades = draw(st.booleans())
+    laws = [law(atoms())]
+    for _ in range(draw(st.integers(1, 3))):
+        G = laws[-1]
+        kind = draw(st.sampled_from(["own", "shared", "shifted", "contracted"]))
+        if kind == "own":
+            laws.append(law(atoms()))
+        elif kind == "shared":
+            shared = draw(st.lists(st.sampled_from(G.xs), min_size=1,
+                                   unique=True))
+            laws.append(law(sorted(set(shared + atoms()))[:6]))
+        else:
+            if kind == "shifted":
+                step = draw(st.sampled_from([1e-6, 1e-2, 0.5, 10.0]))
+                ys = [x + step for x in G.xs]
+            else:
+                pull = draw(st.sampled_from([0.1, 0.5, 0.9, 0.999]))
+                ys = [G.mean() + pull * (x - G.mean()) for x in G.xs]
+            assume(len(set(ys)) == len(ys))
+            laws.append(Discrete(tuple(ys), G.ps) if draw(st.booleans())
+                        else law(ys))
+    return laws
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(laws=law_families())
+def test_descartes_filter_and_order_2_rule_change_no_verdict(laws):
+    # at orders 1-10 every pair's witness, and every dominates_n verdict, is
+    # the one of the search of every interval; order 2 implies infinite
+    # order; and the market audit's Laplace column on the laws' rectangle is
+    # dominates_inf pair by pair
+    def oracle(call, *args):
+        with mock.patch.object(dominance, "_interior_witness",
+                               every_interval_witness):
+            return call(*args)
+
+    F, G = laws[:2]
+    for n in range(1, 11):
+        got = discrete_witness_table(laws, laws, n)
+        want = oracle(discrete_witness_table, laws, laws, n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+        for A, B in ((F, G), (G, F)):
+            assert (dominates_n(A, B, n).to_dict()
+                    == oracle(dominates_n, A, B, n).to_dict()), n
+    settled = dominance.second_order_settled(laws, laws)
+    inf = [[bool(dominates_inf(A, B)) for B in laws] for A in laws]
+    assert np.all(np.array(inf)[settled])
+    assert (_laplace_column(laws, laws, settled).tolist()
+            == [all(row) for row in inf])
+
+
+def test_descartes_filter_keeps_every_interior_witness():
+    # interior witnesses are rare among drawn pairs, so a 40-law rectangle
+    # (1,600 pairs) of laws on [0, 3] gathers them: every witness at orders
+    # 3-10 is bit for bit the one of the search of every interval
+    rng = np.random.default_rng(5)
+    laws = [Discrete(tuple(np.sort(rng.uniform(0.0, 3.0, k))),
+                     tuple(rng.dirichlet(np.ones(k))))
+            for k in rng.integers(1, 7, size=40)]
+    found = []
+
+    def oracle(*args):
+        out = every_interval_witness(*args)
+        found.append(np.count_nonzero(~np.isnan(out)))
+        return out
+
+    for n in range(3, 11):
+        got = discrete_witness_table(laws, laws, n)
+        with mock.patch.object(dominance, "_interior_witness", oracle):
+            want = discrete_witness_table(laws, laws, n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n
+    assert sum(found) >= 20, found
 
 
 # F's mean is 0.12 below G's, but their Laplace transforms cross only below

@@ -262,9 +262,12 @@ def test_marginal_above_a_bounded_inverse_marginal_is_a_range_error(
 def test_a_nan_never_settles():
     from cmdual.duality import invert_decreasing
 
+    points = []
+
     def nan_between(a, b):
         # fn = 1/y, but NaN on (a, b)
         def newton(y):
+            points.append(np.atleast_1d(y)[-1])
             y = np.asarray(y)
             gap = (a < y) & (y < b)
             with np.errstate(all="ignore"):
@@ -277,8 +280,12 @@ def test_a_nan_never_settles():
     around_the_root = nan_between(0.5, 2.0)
     for newton, target in ((everywhere, 1.0), (around_the_root, 1.0),
                            (around_the_root, np.array([4.0, 1.0]))):
+        points.clear()
         with pytest.raises(NoRoot):
             invert_decreasing(newton, target)
+        # the unsettled point (the array's last) is never evaluated twice:
+        # a bracket closed on two adjacent floats ends the solve
+        assert len(set(points)) == len(points), len(points)
     # outside the NaN region the root is found, a NaN taken as the upper end
     assert invert_decreasing(around_the_root, 4.0) == 0.25
     assert invert_decreasing(around_the_root, np.array([4.0])) == [0.25]

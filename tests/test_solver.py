@@ -1142,7 +1142,7 @@ def reference_invert_decreasing(fn, dfn, target):
             where(hi == math.inf, y * jump, y / jump)))
         jump = where(inside | both | settled, jump, jump * jump)
         y = where(settled, y, step)
-        if not np.all((0.0 < y) & (y < math.inf)):
+        if not np.all(settled | ((lo < y) & (y < hi))):
             raise NoRoot("target outside the attainable range")
     raise NoRoot("no settled root")
 
