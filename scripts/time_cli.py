@@ -8,8 +8,8 @@ and the stdlib modules cmdual uses: the start-up no command can go below.
 Inputs are fixed and written to a temporary directory.  Given several
 source trees (``--src LABEL=PATH``, repeatable), each round times every
 command once per tree, rotating which tree goes first, and the output
-records whether all trees printed the same stdout and exit code.  Each
-round and tree also runs ``import cmdual.cli`` once under ``-X
+records whether all trees printed the same stdout, stderr and exit code.
+Each round and tree also runs ``import cmdual.cli`` once under ``-X
 importtime``; the output gives the median cumulative seconds of the main
 modules it loads.  Before the rounds, each row runs once more per tree,
 untimed, under ``-X importtime``, and the output lists the scipy
@@ -81,6 +81,9 @@ INPUTS = {
                    {"c": 1.0, "a": 0.0, "b": 1.0, "lo": 0.0, "hi": "inf"}]}},
     "kappa": {"kappa": 0.25},
     "kappa1": {"kappa": 1},
+    "kappa4": {"kappa": 4},
+    # the footnote's v''' at y = 1 exceeds the double range here
+    "kappa36": {"kappa": 36},
     "deflator": {"deflator": {"kind": "discrete", "x": [0.8, 1.0, 1.3],
                               "p": [0.3, 0.4, 0.3]}},
     "market": {"probs": [0.3, 0.3, 0.2, 0.2], "payoffs": [0.5, 0.8, 1.5, 2.0]},
@@ -128,6 +131,15 @@ COMMANDS = {
                               "kappa1", "--order", "8"],
     "solve.footnote2": ["solve", "--utility", "footnote2", "--model",
                         "kappa1"],
+    # failure paths: order 2 solves, order 4 needs v''' (exit 3)
+    "solve.footnote.kappa36.order2": ["solve", "--utility", "footnote",
+                                      "--model", "kappa36", "--order", "2"],
+    "solve.footnote.kappa36.order4": ["solve", "--utility", "footnote",
+                                      "--model", "kappa36", "--order", "4"],
+    # u''' = 2/x**3 lies past the double range (exit 3)
+    "solve.log.extreme": ["solve", "--utility", "log", "--model", "kappa",
+                          "--grid", "1e-150:1e-149:2", "--order", "4",
+                          "--out", "csv"],
     "derivatives.footnote": ["derivatives", "--utility", "footnote",
                              "--model", "kappa1", "--order", "4"],
     "derivatives": ["derivatives", "--utility", "log", "--model", "kappa"],
@@ -137,6 +149,9 @@ COMMANDS = {
     "invert": ["invert", "--utility", "log", "--model", "kappa", "--z", "1"],
     "invert.footnote": ["invert", "--utility", "footnote", "--model", "kappa1",
                         "--z", "1"],
+    # v^(17) diverges at y = 8 (exit 3)
+    "invert.log.kappa4.order16": ["invert", "--utility", "log", "--model",
+                                  "kappa4", "--order", "16", "--z", "2"],
     "sd-equiv": ["sd-equiv", "--market", "market"],
     "sd-equiv.6": ["sd-equiv", "--market", "market6"],
     "sd-equiv.10": ["sd-equiv", "--market", "market10"],
@@ -270,7 +285,8 @@ def main():
                     label = labels[(run + k) % len(labels)]
                     seconds, proc = _run(argv, trees[label], cwd)
                     times[label][name].append(seconds)
-                    outputs[name].add((proc.returncode, proc.stdout))
+                    outputs[name].add((proc.returncode, proc.stdout,
+                                       proc.stderr))
             for label, src in trees.items():
                 for module, seconds in importtime(src, cwd).items():
                     imports[label].setdefault(module, []).append(seconds)
@@ -284,7 +300,7 @@ def main():
         "commands": {name: (["-c", SCRIPTS[name]] if name in SCRIPTS
                             else COMMANDS[name]) for name in names},
         "same_output": {name: len(seen) == 1 for name, seen in outputs.items()},
-        "exit_codes": {name: sorted({code for code, _ in seen})
+        "exit_codes": {name: sorted({code for code, *_ in seen})
                        for name, seen in outputs.items()},
         "timings": {label: {name: _summary(s) for name, s in per.items()}
                     for label, per in times.items()},
@@ -296,7 +312,7 @@ def main():
     for label, per in result["timings"].items():
         for name, s in per.items():
             loaded = ", ".join(scipy[label][name]) or "no scipy"
-            print(f"{label:>8} {name:<26} median {s['median_s']:.3f} s "
+            print(f"{label:>8} {name:<30} median {s['median_s']:.3f} s "
                   f"(quartiles {s['q1_s']:.3f}-{s['q3_s']:.3f}) {loaded}")
     if args.json:
         Path(args.json).write_text(json.dumps(result, indent=1) + "\n")

@@ -705,9 +705,10 @@ def dominates_n(F: Distribution, G: Distribution, n: int) -> DominanceVerdict:
     minima, sought only where the slope changes sign (no other slope has a
     positive root, by Descartes' rule of signs), and two lognormals are
     decided in closed form (``_levy_dominates``); mixed kinds fall back to a
-    refined grid whose verdict must be stable across two refinements.  Ties
-    count as dominance: relative on the exact path, with the floor ABS_TOL
-    added on the grid.
+    refined grid whose verdict must be stable across two refinements, and
+    to a/2 where that finds no witness against a G whose lowest atom is
+    a > 0.  Ties count as dominance: relative on the exact path, with the
+    floor ABS_TOL added on the grid.
     """
     if n < 1 or n != int(n):
         raise ValueError("n must be an integer >= 1")
@@ -716,7 +717,11 @@ def dominates_n(F: Distribution, G: Distribution, n: int) -> DominanceVerdict:
         return _verdict(discrete_witness_table([F], [G], n)[0, 0], n)
     if isinstance(F, Lognormal) and isinstance(G, Lognormal):
         return _lognormal_verdict(F, G, n)
-    return _verdict(_grid_violation(F, G, n), n)
+    witness = _grid_violation(F, G, n)
+    if math.isnan(witness) and isinstance(G, Discrete) and G.xs[0] > 0:
+        # F, lognormal, has mass below G's lowest atom a, where G_n is 0
+        witness = G.xs[0] / 2.0
+    return _verdict(witness, n)
 
 
 # the refinement schedule of dominates_inf: 200 log-spaced rates, doubled

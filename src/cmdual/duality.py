@@ -13,7 +13,8 @@ V is pinned only up to the anchor value V(y0); the anchor defaults to
 (1.0, 0.0) and travels through every downstream computation consistently.
 
 Each spec implements ``conjugate_derivatives(orders, y)``, which gives
-several orders of V at once; ``conjugate_derivative(k, y)`` is its
+several orders of V at once and raises, as a whole, what its lowest
+failing order would raise alone; ``conjugate_derivative(k, y)`` is its
 one-order case.  A measure-backed V computes all orders in one Laplace
 moment call, and the closed forms loop their formulas.  The log-log
 Newton of ``marginal`` reads V' and V'' at each iterate from one such call.
@@ -144,13 +145,12 @@ class UtilitySpec:
 
     def _newton(self, y):
         """(U')^{-1}(y) = -V'(y) and a reader of its slope -V''(y), both from
-        one conjugate call; where that call fails, each is taken alone, so
-        an order that fails raises only when it is read."""
-        try:
-            first, second = self.conjugate_derivatives((1, 2), y)
-        except Exception:  # each order raises its own error when read
+        one conjugate call; for a conjugate of order 1, (U')^{-1}(y) and a
+        reader that raises OrderExceeded."""
+        if self.max_order < 2:
             return (self.inverse_marginal(y),
                     lambda: -self.conjugate_derivative(2, y))
+        first, second = self.conjugate_derivatives((1, 2), y)
         return -first, lambda: -second
 
     def marginal(self, x):
@@ -313,11 +313,6 @@ class _ConjugateUtility(UtilitySpec):
         if min(orders, default=1) < 1:
             raise ValueError("k must be >= 1")
         return self.V.derivatives(orders, y)
-
-    def conjugate_derivative(self, k, y):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        return self.V.derivative(k, y)
 
 
 @dataclass(frozen=True)

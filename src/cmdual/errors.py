@@ -45,6 +45,10 @@ class DivergentMoment(CmdualError):
     """An expectation defining a derivative is infinite."""
 
 
+class MomentUnderflow(CmdualError):
+    """An expectation defining a derivative underflows the double range."""
+
+
 class EnvelopeViolation(CmdualError):
     """A derivative left its two-sided sanity envelope."""
 

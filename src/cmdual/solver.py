@@ -36,6 +36,7 @@ from .duality import UtilitySpec, invert_decreasing
 from .errors import (
     DivergentMoment,
     DualInfinite,
+    MomentUnderflow,
     NoRoot,
     OrderExceeded,
     PolytopeEmpty,
@@ -251,14 +252,13 @@ class StateTable:
 class ValueFunctionPair:
     """Dual/primal value functions bound to a utility and a market model.
 
-    Every result depends on its arguments alone.  Two memos hold state: the
-    Newton solutions of the primal marginal, keyed by exact argument, and a
-    table {n: v^(n)(y)} at the last y evaluated (n = 0 for v itself),
-    replaced when y moves, so each order read more than once at one y is
-    computed once.  The orders a computation needs at one y are put in the
-    table by one conjugate call (``_fill``).  Only finite values enter it:
-    an order that fails or diverges is left out and raises on every call
-    that reads it, alone.
+    Every result depends on its arguments alone.  Three memos hold state:
+    the Newton solutions of the primal marginal, keyed by exact argument,
+    the powers Y**n of the outcomes, and a table {n: v^(n)(y)} at the last
+    y evaluated (n = 0 for v itself), replaced when y moves, so each order
+    read more than once at one y is computed once.  Every derivative enters
+    the table through ``_fill``: the orders a computation needs at one y,
+    from one conjugate call that fails as a whole.
     """
 
     def __init__(self, utility: UtilitySpec, model: MarketModel):
@@ -272,6 +272,7 @@ class ValueFunctionPair:
         # and more nodes cannot help
         rule = model.deflator_law.rule(utility.conjugate)
         self._outcomes, self._weights = rule.nodes, rule.weights
+        self._least = float(self._outcomes[0])  # the outcomes ascend
 
     # -- dual side -----------------------------------------------------------
 
@@ -289,7 +290,7 @@ class ValueFunctionPair:
 
     def dual_value(self, y: float) -> float:
         """v(y) = E[V(y * Y_T)]."""
-        if y <= 0:
+        if not y > 0:
             raise ValueError("y must be positive")
         known = self._known_at(y)
         out = known.get(0)
@@ -304,62 +305,47 @@ class ValueFunctionPair:
         """v^(n)(y) = E[V^(n)(y Y_T) Y_T**n]; sign alternates with n."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if y <= 0:
+        if not y > 0:
             raise ValueError("y must be positive")
         if n > self.utility.max_order:
             raise OrderExceeded(f"conjugate offers order {self.utility.max_order}")
-        known = self._known_at(y)
-        out = known.get(n)
-        if out is None:
-            out = self._expectation(n, self.utility.conjugate_derivative(
-                n, y * self._outcomes))
-            if not math.isfinite(out):
-                raise DivergentMoment(f"derivative expectation diverges at "
-                                      f"n={n}, y={y}")
-            known[n] = out
-        return out
+        return self._fill(y, (n,))[n]
 
     def _fill(self, y: float, orders) -> dict:
-        """Put v^(n)(y) for each of ``orders`` not yet known into the table,
-        from one conjugate call, and return the table.  If that call fails,
-        or an order comes out non-finite, the order stays out;
-        ``dual_derivative`` then computes it alone, and raises, only when it
-        is read."""
+        """Put v^(n)(y) for each of ``orders`` up to ``max_order`` not yet
+        known into the table, from one conjugate call that fails as a whole
+        (raising what its lowest failing order would raise alone), and
+        return the table; of the expectations, the finite ones go in and
+        the lowest non-finite one raises DivergentMoment.  Y**n is kept."""
         known = self._known_at(y)
         top = self.utility.max_order
         need = [n for n in orders if n not in known and n <= top]
-        if len(need) < 2 or y <= 0:
-            return known  # one order, or a refused y, is read alone
-        try:
+        if need:
             values = self.utility.conjugate_derivatives(
                 need, y * self._outcomes)
-        except Exception:  # each order raises its own error when read
-            return known
-        for n, vals in zip(need, values):
-            out = self._expectation(n, vals)
-            if math.isfinite(out):
-                known[n] = out
+            for n, vals in zip(need, values):
+                power = self._powers.get(n)
+                if power is None:
+                    power = self._powers[n] = self._outcomes**n
+                out = float(self._weights @ (vals * power))
+                if math.isfinite(out):
+                    known[n] = out
+            if divergent := [n for n in need if n not in known]:
+                raise DivergentMoment(f"derivative expectation diverges at "
+                                      f"n={min(divergent)}, y={y}")
         return known
 
-    def _expectation(self, n: int, values) -> float:
-        """E[values * Y**n] over the outcomes; each power Y**n is kept."""
-        power = self._powers.get(n)
-        if power is None:
-            power = self._powers[n] = self._outcomes**n
-        return float(self._weights @ (values * power))
-
     def _newton(self, t: float):
-        """-v'(t) and a reader of -v''(t) from one fill, an order left out
-        read alone; a t whose products t * Y underflow to 0 is no root."""
+        """-v'(t) and a reader of -v''(t) from one fill, or, for a conjugate
+        of order 1, -v'(t) and a reader that raises OrderExceeded; a t whose
+        products t * Y underflow to 0 is no root."""
+        if t * self._least == 0.0:
+            raise NoRoot("t * Y underflows")
         known = self._fill(t, (1, 2))
-        first, second = known.get(1), known.get(2)
-        if first is None:
-            if t * self._outcomes.min() == 0.0:
-                raise NoRoot("t * Y underflows")
-            first = self.dual_derivative(1, t)
+        second = known.get(2)
         if second is None:
-            return -first, lambda: -self.dual_derivative(2, t)
-        return -first, lambda: -second
+            return -known[1], lambda: -self.dual_derivative(2, t)
+        return -known[1], lambda: -second
 
     def dual_optimizer_derivative(self, n: int, y: float) -> StateTable:
         """Derivative in y of the dual optimizer y*Y_T: Y_T at n=1, 0 beyond."""
@@ -372,7 +358,7 @@ class ValueFunctionPair:
 
     def primal_marginal(self, x: float) -> float:
         """y = u'(x), the root of -v'(y) = x."""
-        if x <= 0:
+        if not x > 0:
             raise ValueError("x must be positive")
         hit = self._marginal_cache.get(x)
         if hit is not None:
@@ -397,7 +383,9 @@ class ValueFunctionPair:
         those of the inverse of -v' at y = u'(x), whose own coefficients
         are -v^(k+1)(y)/k! (``partitions.revert``).  The series of -v' is
         taken in the variable (y' - y)/2^e, 2^e the power of two just above
-        y, so its coefficients stay near x in size and the scaling is exact.
+        y, so its coefficients stay near x in size and the scaling is exact;
+        a -v^(k+1)(y) that underflows to 0 or a subnormal raises
+        MomentUnderflow.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -406,8 +394,14 @@ class ValueFunctionPair:
             return [y]
         self._fill(y, range(2, n + 1))
         e = math.frexp(y)[1]
-        a = [None] + [math.ldexp(-self.dual_derivative(k + 1, y), k * e)
-                      / math.factorial(k) for k in range(1, n)]
+        a = [None]
+        for k in range(1, n):
+            c = -self.dual_derivative(k + 1, y)
+            # v^(k+1) is strictly signed, so 0 or a subnormal, whose
+            # digits are lost before the scaling, is an underflow
+            if abs(c) < 2.2250738585072014e-308:
+                raise MomentUnderflow(f"v^({k + 1})(y) underflows at y={y}")
+            a.append(math.ldexp(c, k * e) / math.factorial(k))
         b = revert(a)
         return [y] + [math.ldexp(b[j] * math.factorial(j), e)
                       for j in range(1, n)]
@@ -469,7 +463,7 @@ class ValueFunctionPair:
         of positive terms built in log space so a tiny z cannot overflow.
         It converges to the half-open/open average at atoms.
         """
-        if z < 0:
+        if not z >= 0:
             raise ValueError("z must be >= 0")
         if n < 2:
             raise ValueError("n must be >= 2")
@@ -478,10 +472,10 @@ class ValueFunctionPair:
         if n + 1 > self.utility.max_order:
             raise OrderExceeded("the approximant is defined through v^(n+1)")
         y = n / z
-        self._fill(y, range(1, n + 1))
+        known = self._fill(y, range(1, n + 1))
         terms = []
         for k in range(n):
-            val = (-1.0) ** (k + 1) * self.dual_derivative(k + 1, y)
+            val = (-1.0) ** (k + 1) * known[k + 1]
             if val > 0.0:
                 terms.append(math.exp(math.log(val) + k * math.log(y)
                                       - math.lgamma(k + 1)))

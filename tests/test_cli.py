@@ -451,6 +451,9 @@ MODEL = ["--utility", "log", "--model", "deflator"]
     ["derivatives", *MODEL, "--x", "nan"],
     ["derivatives", *MODEL, "--x", "inf"],
     ["solve", *MODEL, "--grid", "0.5:inf:4"],
+    ["solve", *MODEL, "--grid", "2:1:4"],
+    ["solve", *MODEL, "--grid", "0.5:2:1"],
+    ["cex2", "--eps", "0,1e-3"],
     ["cex1", "--truncations", "1000,inf"],
     ["cex1", "--truncations", "0,1000,10000"],
     ["cex1", "--truncations", "10000"],
@@ -477,7 +480,8 @@ MODEL = ["--utility", "log", "--model", "deflator"]
     ["solve", "--utility", "order_text", "--model", "deflator"],
 ], ids=["solve-order-inf", "derivatives-order-inf", "invert-order-inf",
         "cex1-order-inf", "invert-z-inf", "invert-z-nan", "derivatives-x-nan",
-        "derivatives-x-inf", "solve-grid-inf", "cex1-truncation-inf",
+        "derivatives-x-inf", "solve-grid-inf", "solve-grid-descending",
+        "solve-grid-one-step", "cex2-eps-zero", "cex1-truncation-inf",
         "cex1-truncation-zero", "cex1-single-truncation",
         "cex2-eps-nan", "cex2-eps-empty", "cex1-truncations-empty",
         "sd-equiv-candidate-inf", "audit-family-size-0",

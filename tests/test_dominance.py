@@ -1190,6 +1190,60 @@ def test_mixed_pair_verdicts_are_pinned():
         assert not verdict and verdict.witness == want, n
 
 
+def lognormal_iterated(F, n, y):
+    """F_n(y) = E[(y - xi)_+^(n-1)] / (n-1)! of a lognormal F, by mpmath."""
+    with mpmath.workdps(30):
+        y = mpmath.mpf(y)
+        if n == 1:
+            return mpmath.ncdf(mpmath.log(y), F.m, mpmath.sqrt(F.s2))
+        s = mpmath.sqrt(F.s2)
+        return mpmath.quad(
+            lambda t: (y - t) ** (n - 1) * mpmath.npdf(mpmath.log(t), F.m, s)
+            / t, [0, y]) / mpmath.factorial(n - 1)
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+def test_a_lognormal_never_dominates_a_point_above_its_lowest_mass(scale):
+    # G, a point at a = 0.05 c, has G_n = 0 on (0, a), where the lognormal
+    # F_n is positive: violated at every finite order, however small F_n
+    F, G = Lognormal(math.log(scale), 0.25), Discrete.point(0.05 * scale)
+    a = G.xs[0]
+    for n in (1, 2, 3, 4, 8):
+        verdict = dominates_n(F, G, n)
+        assert not verdict and verdict.witness is not None, n
+        w = verdict.witness
+        g_n = 0.0 if w < a else (w - a) ** (n - 1) / math.factorial(n - 1)
+        assert lognormal_iterated(F, n, w) > g_n, n
+    assert lognormal_iterated(F, 8, a / 2) > 0
+
+
+def test_lognormal_witness_falls_back_where_the_grid_fails(monkeypatch):
+    def fail(*args):
+        raise QuadratureFailure("unsettled")
+
+    monkeypatch.setattr(dominance, "_grid_violation", fail)
+    monkeypatch.setattr(dominance, "laplace_witness_table", fail)
+    wide, narrow = Lognormal(0.0, 0.408**2), Lognormal(-0.098, 0.403**2)
+
+    def crossing(F, G):
+        return math.exp((F.m * G.s - G.m * F.s) / (G.s - F.s))
+
+    # s_F > s_G: F_1 > G_1 on (0, y*), so y*/2 witnesses every finite order
+    for n in (1, 2, 4):
+        verdict = dominates_n(wide, narrow, n)
+        assert not verdict and verdict.witness == crossing(wide, narrow) / 2
+        assert (lognormal_iterated(wide, n, verdict.witness)
+                > lognormal_iterated(narrow, n, verdict.witness))
+    # s_F < s_G at order 1: F_1 > G_1 on (y*, inf), so 2 y* witnesses it
+    verdict = dominates_n(narrow, wide, 1)
+    assert not verdict and verdict.witness == 2 * crossing(narrow, wide)
+    assert (lognormal_iterated(narrow, 1, verdict.witness)
+            > lognormal_iterated(wide, 1, verdict.witness))
+    # at infinite order the violation has no witness
+    verdict = dominates_inf(wide, narrow)
+    assert not verdict and verdict.witness is None
+
+
 def reference_audit(F, G, order, family_size=100, seed=0):
     """The audit as one Laplace call per law and test function, each
     settling on its own ladder: what the batched audit must reproduce."""

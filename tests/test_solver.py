@@ -25,6 +25,7 @@ from cmdual.duality import (
 from cmdual.errors import (
     DivergentMoment,
     DualInfinite,
+    MomentUnderflow,
     NoRoot,
     OrderExceeded,
     PolytopeEmpty,
@@ -989,11 +990,15 @@ def test_a_newton_step_is_one_kernel_call(monkeypatch):
 
 
 def test_an_order_failing_alongside_raises_only_when_read():
-    # at kappa 36, V^(3)(y Y) exceeds the double range on the smallest nodes
+    # at kappa 36, V^(3)(y Y) exceeds the double range on the smallest
+    # nodes: a fill of v'' with v''' fails as a whole and keeps nothing,
+    # while v'' read alone is the fresh value
     pair = ValueFunctionPair(footnote_utility(1), MarketModel.lognormal(36.0))
     fresh = ValueFunctionPair(footnote_utility(1), MarketModel.lognormal(36.0))
     second = fresh.dual_derivative(2, 1.0)
-    pair._fill(1.0, (2, 3))
+    with pytest.raises(OverflowError):
+        pair._fill(1.0, (2, 3))
+    assert pair._known_at(1.0) == {}
     assert pair.dual_derivative(2, 1.0) == second
     for _ in range(2):
         with pytest.raises(OverflowError):
@@ -1004,6 +1009,47 @@ def test_an_order_failing_alongside_raises_only_when_read():
     assert pair.primal_derivatives(2, 1.0)[1] < 0.0
     with pytest.raises(OverflowError):
         pair.primal_derivatives(4, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pair: pair.dual_value(math.nan),
+    lambda pair: pair.dual_derivative(2, math.nan),
+    lambda pair: pair.primal_marginal(math.nan),
+    lambda pair: pair.widder_invert(math.nan, 4),
+    lambda pair: pair.optimizer_derivatives(2, math.nan),
+], ids=["dual_value", "dual_derivative", "primal_marginal", "widder_invert",
+        "optimizer_derivatives"])
+def test_a_nan_argument_is_refused(call):
+    # a NaN fails the positivity check instead of reaching the numerics
+    pair = ValueFunctionPair(footnote_utility(1), MarketModel.lognormal(1.0))
+    with pytest.raises(ValueError, match="must be"):
+        call(pair)
+
+
+def test_an_underflowed_series_coefficient_is_a_numerical_failure(tmp_path):
+    # at x = 1e-150, y = u'(x) = 1e150: v''(y) = 1e-300 is normal, while
+    # v'''(y) = -2e-450 underflows, so u''' = 2/x**3 (past the double range
+    # itself) cannot be formed; power p = -2 at x = 1e-100 has v''(y) of
+    # order 1e-400, which revert would divide by
+    log = ValueFunctionPair(LOG, LOGNORMAL)
+    assert log.primal_derivatives(2, 1e-150)[1] == pytest.approx(-1e300,
+                                                                 rel=1e-12)
+    with pytest.raises(MomentUnderflow, match=r"v\^\(3\)\(y\) underflows"):
+        log.primal_derivatives(4, 1e-150)
+    # v'''(1e104) = -2e-312 is subnormal, not 0
+    with pytest.raises(MomentUnderflow, match=r"v\^\(3\)\(y\) underflows"):
+        log.primal_derivatives(3, 1e-104)
+    power = ValueFunctionPair(PowerUtility(-2.0), LOGNORMAL)
+    with pytest.raises(MomentUnderflow, match=r"v\^\(2\)\(y\) underflows"):
+        power.primal_derivatives(2, 1e-100)
+    model = tmp_path / "kappa.json"
+    model.write_text(json.dumps({"kappa": 0.25}))
+    for utility, grid in (({"kind": "log"}, "1e-150:1e-149:2"),
+                          ({"kind": "power", "p": -2.0}, "1e-100:1e-99:2")):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(utility))
+        assert main(["solve", "--utility", str(path), "--model", str(model),
+                     "--grid", grid, "--order", "4", "--out", "csv"]) == 3
 
 
 def test_a_non_finite_order_stays_out_of_the_table(monkeypatch):
@@ -1043,6 +1089,30 @@ def test_the_newton_reads_the_slope_only_while_unsettled():
     assert pair.primal_marginal(1.0) == 1.0
     with pytest.raises(OrderExceeded):
         pair.primal_marginal(2.0)
+
+
+def test_the_scalar_newton_reads_the_slope_only_while_unsettled():
+    # the scalar U' of the same order-1 conjugate: (U')^{-1}(1) = 1 settles
+    # with no V'', and any other x raises when the slope is read
+    from cmdual.cmcalc import DnFunction
+    from cmdual.duality import FiniteOrderUtility
+
+    V = DnFunction.from_nth_derivative(1, lambda t: -1.0 / t**2,
+                                       anchor=(1.0, -1.0))
+    utility = FiniteOrderUtility(V)
+    assert utility.marginal(1.0) == 1.0
+    with pytest.raises(OrderExceeded):
+        utility.marginal(2.0)
+
+
+def test_a_fill_raises_for_its_lowest_divergent_order():
+    # at kappa 4, v^(16)(8) and v^(17)(8) both diverge (Y**17 overflows
+    # on the largest nodes); v^(15) is kept
+    pair = ValueFunctionPair(LOG, MarketModel.lognormal(4.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergentMoment, match=r"n=16, y=8\.0"):
+            pair._fill(8.0, (17, 16, 15))
+    assert list(pair._known_at(8.0)) == [15]
 
 
 def test_optimizer_derivative_takes_one_conjugate_call(monkeypatch):
